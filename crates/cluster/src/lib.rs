@@ -12,13 +12,13 @@
 
 use imci_common::{Error, Result};
 use imci_core::ColumnStore;
-use imci_replication::{load_checkpoint_pages, take_checkpoint, Pipeline, ReplicationConfig};
+use imci_replication::{Pipeline, RecoveryReport, ReplicationConfig};
 use imci_sql::{QueryEngine, QueryResult};
 use imci_wal::{LogWriter, PropagationMode};
 use parking_lot::{Condvar, Mutex, RwLock};
 use polarfs_sim::{LatencyProfile, PolarFs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use rowstore::{RecoverOptions, RecoveryReport, RowEngine};
+use rowstore::RowEngine;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -231,6 +231,10 @@ pub struct FailoverReport {
     pub column_rebuild_time: Duration,
     /// Crash-to-promoted wall time (the paper's seconds-scale claim).
     pub total_time: Duration,
+    /// Whether the column rebuild reached the promotion point within
+    /// its 60 s wait. When false the writer still serves, but column
+    /// plans lag until the attachment's pipeline catches up.
+    pub column_caught_up: bool,
 }
 
 /// The simulated PolarDB-IMCI cluster.
@@ -456,35 +460,22 @@ impl Cluster {
     }
 
     /// Restart the RW in place: rebuild a writer from the newest
-    /// checkpoint (catalog snapshot + row pages) plus REDO replay from
-    /// its cursor, roll back whatever never committed, and start
-    /// serving again under a bumped writer epoch. See
-    /// [`RowEngine::recover`] for the storage-level contract.
+    /// checkpoint plus REDO replay from its cursor, roll back whatever
+    /// never committed, and start serving again under a bumped writer
+    /// epoch. See [`imci_replication::recover_writer`].
     pub fn recover_rw(&self) -> Result<RecoveryReport> {
         if self.rw.read().is_some() {
             return Err(Error::Execution(
                 "RW node is alive; crash_rw() before recover_rw()".into(),
             ));
         }
-        // The recovered engine gets a replica-sized (effectively
-        // unbounded) pool, like RO nodes and unlike the bootstrap RW:
-        // replay requires every replayed page to stay resident
-        // (`apply_entry` never falls back to shared storage), and the
-        // pool's capacity is fixed at engine creation. Deliberate:
-        // promoted nodes (former ROs) have the same shape.
-        let mut opts = RecoverOptions::from_log_start(self.config.propagation, usize::MAX / 2);
-        if let Some(seq) = imci_core::latest_checkpoint(&self.fs) {
-            opts.catalog_snapshot = Some(self.fs.get_object(&imci_core::ckpt_catalog_key(seq))?);
-            let mut pages = Vec::new();
-            for key in self.fs.list_objects(&imci_core::ckpt_rowpages_prefix(seq)) {
-                pages.push(self.fs.get_object(&key)?);
-            }
-            opts.checkpoint_pages = pages;
-            opts.start_offset = imci_core::read_meta(&self.fs, seq)?.redo_offset;
-        }
         // Rebuild outside the writer lock (sessions fail fast instead
         // of stalling behind a long replay), install atomically after.
-        let (engine, report) = RowEngine::recover(self.fs.clone(), opts)?;
+        let (engine, report) = imci_replication::recover_writer(
+            &self.fs,
+            self.config.propagation,
+            self.config.group_cap,
+        )?;
         let mut query = QueryEngine::row_only(engine.clone());
         query.cost_threshold = self.config.cost_threshold;
         let heartbeat = engine.log().map(|log| {
@@ -556,15 +547,13 @@ impl Cluster {
         let t_drain = Instant::now();
         let state = node.pipeline.stop_after_drain();
         let drain_time = t_drain.elapsed();
-        let log = LogWriter::resume(
-            self.fs.clone(),
+        let rolled_back_txns = imci_replication::promote(
+            &self.fs,
             self.config.propagation,
-            state.last_lsn + 1,
-            state.applied_lsn,
+            &node.engine,
+            &state.position,
+            &state.inflight,
         )?;
-        node.engine
-            .promote_to_writer(log.clone(), state.max_tid + 1, state.max_vid);
-        let rolled_back_txns = node.engine.rollback_inflight(&state.inflight)?;
 
         // Column rebuild: checkpoint seed + pipeline over the shared
         // log. Booted before the writer is installed so the attachment
@@ -589,9 +578,8 @@ impl Cluster {
         // Catch the column store up to the promotion point so IMCI
         // plans answer from day one; later commits stream in via CALS
         // like on any RO.
-        if state.applied_lsn > 0 {
-            col_metrics.wait_applied_at_least(state.applied_lsn, Duration::from_secs(60));
-        }
+        let column_caught_up =
+            col_metrics.wait_applied_at_least(state.position.applied_lsn, Duration::from_secs(60));
         let column_rebuild_time = t_col.elapsed();
         Ok(FailoverReport {
             promoted: node.name.clone(),
@@ -601,61 +589,36 @@ impl Cluster {
             drain_time,
             column_rebuild_time,
             total_time: t0.elapsed(),
+            column_caught_up,
         })
     }
 
     /// Bootstrap a CALS follower — row replica + column store + running
     /// replication pipeline — from the newest checkpoint when one
-    /// exists, cold from log offset 0 otherwise. Shared by
-    /// [`Cluster::scale_out`] (new RO node) and [`Cluster::failover`]
-    /// (the promoted writer's column rebuild).
+    /// exists, cold from log offset 0 otherwise ([`imci_replication::seed`]).
+    /// Shared by [`Cluster::scale_out`] (new RO node) and
+    /// [`Cluster::failover`] (the promoted writer's column rebuild).
     fn boot_follower(&self) -> Result<Follower> {
-        let engine = RowEngine::new_replica(self.fs.clone(), usize::MAX / 2);
-        let store = Arc::new(ColumnStore::new(self.config.group_cap));
-        let (start_offset, from_checkpoint) = match imci_core::latest_checkpoint(&self.fs) {
-            Some(seq) => {
-                // Fast start: the checkpoint's catalog snapshot (schemas
-                // + catalog version as of its redo cursor), row pages,
-                // and column state. DDL after the cursor replays from
-                // the log like any other change — no catalog refresh.
-                engine.import_catalog(&self.fs.get_object(&imci_core::ckpt_catalog_key(seq))?)?;
-                load_checkpoint_pages(&self.fs, seq, &engine)?;
-                let meta = imci_core::read_meta(&self.fs, seq)?;
-                for tname in engine.table_names() {
-                    let rt = engine.table(&tname)?;
-                    rt.rebuild_secondaries()?;
-                    rt.row_counter
-                        .store(rt.tree.count()? as u64, Ordering::SeqCst);
-                    if rt.schema.has_column_index() {
-                        if let Ok(idx) =
-                            imci_core::load_index(&self.fs, seq, &rt.schema, self.config.group_cap)
-                        {
-                            store.install(idx);
-                        } else {
-                            store.create_index(&rt.schema);
-                        }
-                    }
-                }
-                (meta.redo_offset, true)
-            }
-            // Cold start: the node boots with an *empty* catalog — the
-            // log's DDL records rebuild tables and column indexes in
-            // LSN order as the pipeline replays from offset 0.
-            None => (0, false),
-        };
-        let mut repl = self.config.replication.clone();
-        repl.start_offset = start_offset;
-        let pipeline = Pipeline::start(self.fs.clone(), engine.clone(), store.clone(), repl);
+        let state = imci_replication::seed(&self.fs, self.config.group_cap)?;
+        let pipeline = Pipeline::start(
+            self.fs.clone(),
+            state.engine.clone(),
+            state.store.clone(),
+            self.config.replication.clone(),
+            state.position,
+        );
         Ok(Follower {
-            engine,
-            store,
+            engine: state.engine,
+            store: state.store,
             pipeline,
-            from_checkpoint,
+            from_checkpoint: state.checkpoint.is_some(),
         })
     }
 
     /// Add an RO node (paper §7): load the newest checkpoint if one
-    /// exists, otherwise rebuild from the log, then catch up.
+    /// exists, otherwise rebuild from the log, then catch up to the
+    /// RW's written LSN. A node that has not caught up within 60 s is
+    /// not added, and the call fails.
     pub fn scale_out(&self) -> Result<ScaleOutReport> {
         let id = self.next_ro_id.fetch_add(1, Ordering::SeqCst);
         let name = format!("ro-{id}");
@@ -666,10 +629,15 @@ impl Cluster {
         // Catch up to the RW's current commit point before serving.
         let t1 = Instant::now();
         let target = self.written_lsn();
-        if target > 0 {
-            follower
-                .pipeline
-                .wait_applied(target, Duration::from_secs(60));
+        if !follower
+            .pipeline
+            .wait_applied(target, Duration::from_secs(60))
+        {
+            follower.pipeline.stop();
+            return Err(Error::Execution(format!(
+                "scale-out: {name} did not reach LSN {target} within 60 s ({})",
+                follower.pipeline.metrics().summary()
+            )));
         }
         let catchup_time = t1.elapsed();
 
@@ -829,11 +797,13 @@ impl Cluster {
         }
     }
 
-    /// Take a checkpoint covering the current log prefix (the RO-leader
-    /// duty of §7; see DESIGN.md for the quiescing substitution).
+    /// Take a checkpoint covering the log up to its last transaction
+    /// boundary, built from the previous checkpoint plus the REDO since
+    /// (the RO-leader duty of §7; see DESIGN.md for the quiescing
+    /// substitution).
     pub fn checkpoint_now(&self) -> Result<u64> {
         let seq = self.next_ckpt.fetch_add(1, Ordering::SeqCst);
-        take_checkpoint(&self.fs, seq, None, self.config.group_cap)?;
+        imci_replication::take_checkpoint(&self.fs, seq, None, self.config.group_cap)?;
         Ok(seq)
     }
 
@@ -1632,6 +1602,7 @@ mod tests {
         assert!(report.promoted.starts_with("ro-"), "{}", report.promoted);
         assert_eq!(report.rolled_back_txns, 1);
         assert_eq!(report.rolled_back_ops, 2);
+        assert!(report.column_caught_up);
         assert_eq!(c.ros.read().len(), 1, "promoted node left the RO set");
 
         // The committed prefix survived, the in-flight txn did not.
@@ -1718,6 +1689,7 @@ mod tests {
             c.crash_rw();
             let report = c.failover().unwrap();
             assert!(report.epoch > last_epoch, "epochs strictly increase");
+            assert!(report.column_caught_up);
             last_epoch = report.epoch;
         }
         assert_eq!(c.ros.read().len(), 0, "each round consumed one RO");
@@ -1753,6 +1725,7 @@ mod tests {
         let report = c.failover().unwrap();
         assert!(c.ros.read().is_empty(), "single RO was promoted");
         assert!(report.column_rebuild_time > Duration::ZERO);
+        assert!(report.column_caught_up);
 
         let opts = ExecOpts {
             consistency: None,

@@ -2,7 +2,8 @@
 //!
 //! A checkpoint is a named set of objects under `ckpt/<seq>/...`:
 //!
-//! * `meta` — CSN, redo-cursor offset, group layout, next RID;
+//! * `meta` — the [`LogPosition`] covered (CSN, REDO cursor, last and
+//!   applied LSN, max TID), group layout, next RID;
 //! * `t<table>/g<gid>/c<col>` — each column of each group, stored as an
 //!   encoded [`Pack`] (partial packs are sealed copy-on-write for the
 //!   snapshot — the live group is untouched);
@@ -11,7 +12,8 @@
 //! * `t<table>/locator` — the RID locator snapshot (immutable-run clone).
 //!
 //! New RO nodes load the newest checkpoint and replay the REDO suffix
-//! from the recorded cursor — the tens-of-seconds scale-out of Fig. 14.
+//! from the recorded cursor — the tens-of-seconds scale-out of Fig. 14
+//! (`imci_replication::replay` builds and loads checkpoints).
 
 use crate::index::ColumnIndex;
 use crate::locator::RidLocator;
@@ -22,13 +24,29 @@ use imci_common::{Error, Result, Rid, Schema, TableId};
 use polarfs_sim::PolarFs;
 use std::sync::Arc;
 
+/// Where a rebuilt state sits in the REDO log. The byte `offset` is
+/// always a transaction boundary — no transaction has entries on both
+/// sides of it — and the counters cover every entry before it, so a
+/// node resuming from here needs nothing from the log prefix.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogPosition {
+    /// REDO byte offset of the first entry not covered.
+    pub offset: u64,
+    /// LSN of the last entry covered.
+    pub last_lsn: u64,
+    /// LSN of the last commit record covered (the applied LSN).
+    pub applied_lsn: u64,
+    /// Highest transaction id covered.
+    pub max_tid: u64,
+    /// Highest committed VID covered — a checkpoint's CSN (§7).
+    pub max_vid: u64,
+}
+
 /// Checkpoint descriptor (parsed `meta` object).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointMeta {
-    /// Checkpoint sequence number (a committed VID; §7).
-    pub csn: u64,
-    /// REDO byte offset to resume replay from.
-    pub redo_offset: u64,
+    /// Log position the checkpointed state covers.
+    pub position: LogPosition,
     /// Per-table group layout: (table, group count, next_rid, rows
     /// written in the last partial group).
     pub tables: Vec<CkptTable>,
@@ -68,20 +86,23 @@ pub fn ckpt_rowpages_prefix(seq: u64) -> String {
     format!("{}rowpages/", prefix(seq))
 }
 
-/// Write a checkpoint of `indexes` at `csn` / `redo_offset`.
+/// Write a checkpoint of `indexes` covering `position`; the meta object
+/// is written last, so write the catalog and row pages first.
 ///
-/// Caller must quiesce Phase-2 appliers first so that the visible state
-/// equals `csn` exactly (the cluster checkpoints at batch boundaries).
+/// The caller must have applied exactly the log up to `position` and
+/// nothing after it, so that the visible state equals its CSN.
 pub fn write_checkpoint(
     fs: &PolarFs,
     seq: u64,
-    csn: u64,
-    redo_offset: u64,
+    position: &LogPosition,
     indexes: &[Arc<ColumnIndex>],
 ) -> Result<()> {
     let p = prefix(seq);
-    let mut meta = String::new();
-    meta.push_str(&format!("csn\t{csn}\nredo\t{redo_offset}\n"));
+    let csn = position.max_vid;
+    let mut meta = format!(
+        "csn\t{csn}\nredo\t{}\nlast_lsn\t{}\napplied_lsn\t{}\nmax_tid\t{}\n",
+        position.offset, position.last_lsn, position.applied_lsn, position.max_tid
+    );
     for index in indexes {
         let groups = index.groups();
         meta.push_str(&format!(
@@ -152,7 +173,9 @@ pub fn write_checkpoint(
             Bytes::from(snap.encode()),
         );
     }
-    // Meta written last: its presence marks the checkpoint complete.
+    // Meta written last: its presence marks the checkpoint complete,
+    // and its closing `end` line tells a whole meta from a torn one.
+    meta.push_str("end\n");
     fs.put_object(&format!("{p}meta"), Bytes::from(meta));
     Ok(())
 }
@@ -166,44 +189,74 @@ pub fn latest_checkpoint(fs: &PolarFs) -> Option<u64> {
         .max()
 }
 
-/// Parse a checkpoint's `meta` object.
+/// Parse a checkpoint's `meta` object. A torn or corrupt meta is an
+/// error: guessing a field would resume replay at the wrong offset.
 pub fn read_meta(fs: &PolarFs, seq: u64) -> Result<CheckpointMeta> {
     let bytes = fs.get_object(&format!("{}meta", prefix(seq)))?;
-    let text =
-        std::str::from_utf8(&bytes).map_err(|e| Error::Storage(format!("ckpt meta utf8: {e}")))?;
-    let mut csn = 0;
-    let mut redo_offset = 0;
+    std::str::from_utf8(&bytes)
+        .map_err(|e| e.to_string())
+        .and_then(parse_meta)
+        .map_err(|why| Error::Storage(format!("checkpoint {seq} meta: {why}")))
+}
+
+fn parse_meta(text: &str) -> std::result::Result<CheckpointMeta, String> {
+    fn num<T: std::str::FromStr>(s: &str) -> std::result::Result<T, String> {
+        s.parse().map_err(|_| format!("bad number {s:?}"))
+    }
+    fn list<T>(
+        s: &str,
+        item: impl Fn(&str) -> std::result::Result<T, String>,
+    ) -> std::result::Result<Vec<T>, String> {
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        s.split(',').map(item).collect()
+    }
+    let body = text
+        .strip_suffix("end\n")
+        .ok_or("missing end line (torn meta)")?;
+    let mut scalars: Vec<(&str, u64)> = Vec::new();
     let mut tables = Vec::new();
-    for line in text.lines() {
+    for line in body.lines() {
         let f: Vec<&str> = line.split('\t').collect();
-        match f[0] {
-            "csn" => csn = f[1].parse().unwrap_or(0),
-            "redo" => redo_offset = f[1].parse().unwrap_or(0),
-            "table" => {
-                let sealed = if f[4].is_empty() {
-                    Vec::new()
-                } else {
-                    f[4].split(',').map(|s| s == "1").collect()
+        match f[..] {
+            ["table", id, n_groups, next_rid, sealed, written] => {
+                let t = CkptTable {
+                    table_id: TableId(num(id)?),
+                    n_groups: num(n_groups)?,
+                    next_rid: num(next_rid)?,
+                    sealed: list(sealed, |s| match s {
+                        "0" => Ok(false),
+                        "1" => Ok(true),
+                        _ => Err(format!("bad sealed flag {s:?}")),
+                    })?,
+                    written: list(written, num)?,
                 };
-                let written = if f[5].is_empty() {
-                    Vec::new()
-                } else {
-                    f[5].split(',').map(|s| s.parse().unwrap_or(0)).collect()
-                };
-                tables.push(CkptTable {
-                    table_id: TableId(f[1].parse().unwrap_or(0)),
-                    n_groups: f[2].parse().unwrap_or(0),
-                    next_rid: f[3].parse().unwrap_or(0),
-                    sealed,
-                    written,
-                });
+                let n = t.n_groups as usize;
+                if t.sealed.len() != n || t.written.len() != n {
+                    return Err(format!("table {id}: group lists do not match {n} groups"));
+                }
+                tables.push(t);
             }
-            _ => {}
+            [key, value] => scalars.push((key, num(value)?)),
+            _ => return Err(format!("malformed line {line:?}")),
         }
     }
+    let get = |key: &str| {
+        scalars
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| format!("missing {key}"))
+    };
     Ok(CheckpointMeta {
-        csn,
-        redo_offset,
+        position: LogPosition {
+            offset: get("redo")?,
+            last_lsn: get("last_lsn")?,
+            applied_lsn: get("applied_lsn")?,
+            max_tid: get("max_tid")?,
+            max_vid: get("csn")?,
+        },
         tables,
     })
 }
@@ -257,7 +310,7 @@ pub fn load_index(
     let loc = RidLocator::decode(&lbytes, 64 * 1024)?;
     let entries: Vec<(i64, Rid)> = loc.snapshot().iter_live();
     index.install_locator_entries(&entries);
-    index.advance_visible(imci_common::Vid(meta.csn));
+    index.advance_visible(imci_common::Vid(meta.position.max_vid));
     Ok(index)
 }
 
@@ -337,6 +390,16 @@ mod tests {
         .unwrap()
     }
 
+    fn at(csn: u64, offset: u64) -> LogPosition {
+        LogPosition {
+            offset,
+            last_lsn: 40,
+            applied_lsn: 39,
+            max_tid: 7,
+            max_vid: csn,
+        }
+    }
+
     fn populated_index() -> Arc<ColumnIndex> {
         let idx = ColumnIndex::for_schema(&schema(), 8);
         for pk in 0..20i64 {
@@ -360,11 +423,10 @@ mod tests {
     fn checkpoint_roundtrip() {
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 1, 21, 12345, std::slice::from_ref(&idx)).unwrap();
+        write_checkpoint(&fs, 1, &at(21, 12345), std::slice::from_ref(&idx)).unwrap();
         assert_eq!(latest_checkpoint(&fs), Some(1));
         let meta = read_meta(&fs, 1).unwrap();
-        assert_eq!(meta.csn, 21);
-        assert_eq!(meta.redo_offset, 12345);
+        assert_eq!(meta.position, at(21, 12345));
 
         let restored = load_index(&fs, 1, &schema(), 8).unwrap();
         assert_eq!(restored.visible_vid(), 21);
@@ -385,7 +447,7 @@ mod tests {
     fn restored_index_accepts_new_dml() {
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 7, 21, 0, &[idx]).unwrap();
+        write_checkpoint(&fs, 7, &at(21, 0), &[idx]).unwrap();
         let restored = load_index(&fs, 7, &schema(), 8).unwrap();
         restored
             .insert(
@@ -408,7 +470,7 @@ mod tests {
         // out, so the restored index still shows pk 5.
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 2, 20, 0, &[idx]).unwrap();
+        write_checkpoint(&fs, 2, &at(20, 0), &[idx]).unwrap();
         let restored = load_index(&fs, 2, &schema(), 8).unwrap();
         // Scans go through the VID maps: the post-CSN delete is masked,
         // so row 5 (RID 5 → group 0, offset 5) is visible at csn 20.
@@ -424,11 +486,39 @@ mod tests {
     }
 
     #[test]
+    fn torn_or_corrupt_meta_is_an_error() {
+        let fs = PolarFs::instant();
+        write_checkpoint(&fs, 1, &at(21, 12345), &[populated_index()]).unwrap();
+        let whole = fs.get_object("ckpt/000000000001/meta").unwrap();
+        let text = std::str::from_utf8(&whole).unwrap().to_string();
+        let bad = [
+            // Torn at every length short of the whole object.
+            (1..text.len()).map(|n| text[..n].to_string()).collect(),
+            vec![
+                text.replace("redo\t12345", "redo\tx2345"),
+                text.replace("csn\t21", "csn\t-1"),
+                text.replace("max_tid\t7\n", ""),
+                text.replace("\t1,1,0\t", "\t1,0\t"),
+                text.replace("\t8,8,4\n", "\t8,8,x\n"),
+                text.replace("\t1,1,0\t", "\t1,2,0\t"),
+                text.replace("applied_lsn\t39", "applied_lsn"),
+            ],
+        ]
+        .concat();
+        for meta in bad {
+            fs.put_object("ckpt/000000000001/meta", Bytes::from(meta.clone()));
+            assert!(read_meta(&fs, 1).is_err(), "accepted {meta:?}");
+        }
+        fs.put_object("ckpt/000000000001/meta", whole);
+        assert_eq!(read_meta(&fs, 1).unwrap().position, at(21, 12345));
+    }
+
+    #[test]
     fn latest_checkpoint_picks_max() {
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 3, 21, 0, std::slice::from_ref(&idx)).unwrap();
-        write_checkpoint(&fs, 10, 21, 0, &[idx]).unwrap();
+        write_checkpoint(&fs, 3, &at(21, 0), std::slice::from_ref(&idx)).unwrap();
+        write_checkpoint(&fs, 10, &at(21, 0), &[idx]).unwrap();
         assert_eq!(latest_checkpoint(&fs), Some(10));
         assert_eq!(latest_checkpoint(&PolarFs::instant()), None);
     }

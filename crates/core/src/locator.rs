@@ -160,8 +160,11 @@ impl RidLocator {
             return;
         }
         let entries: Vec<(i64, Option<Rid>)> = std::mem::take(&mut *mt).into_iter().collect();
-        drop(mt);
+        // Take the run list before releasing the memtable: a lookup that
+        // misses the memtable then waits for this run to be installed,
+        // and racing freezes keep the runs newest-first.
         let mut runs = self.runs.write();
+        drop(mt);
         let mut list: Vec<Arc<Run>> = (**runs).clone();
         list.insert(0, Arc::new(Run { entries }));
         if list.len() > self.max_runs {

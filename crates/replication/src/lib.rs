@@ -22,16 +22,21 @@
 //! * [`buffer`] — transaction buffers and the large-transaction
 //!   pre-commit path;
 //! * [`pipeline`] — the threaded 2P-COFFER implementation;
-//! * [`sync`] — synchronous (single-threaded) replay used for node
-//!   bootstrap and for building checkpoints from a quiesced state;
+//! * [`mod@replay`] — rebuilding state from shared storage: the checkpoint
+//!   seed, single-threaded replay, checkpointing, RW crash recovery and
+//!   the promotion step it shares with RO failover;
 //! * [`metrics`] — counters the benches report (applied LSN, VD inputs).
 
 pub mod buffer;
 pub mod metrics;
 pub mod pipeline;
-pub mod sync;
+pub mod replay;
 
 pub use buffer::{CommittedTxn, TxnBuffers, TxnOp};
+pub use imci_core::LogPosition;
 pub use metrics::ReplicationMetrics;
 pub use pipeline::{Pipeline, ReplicationConfig, ShipMode};
-pub use sync::{load_checkpoint_pages, replay_log_sync, take_checkpoint, ReplicaState};
+pub use replay::{
+    promote, recover_writer, replay, seed, take_checkpoint, RecoveryReport, Replayed, ReplicaState,
+    Stop,
+};

@@ -14,9 +14,10 @@
 
 use crate::buffer::{apply_txn_op, CommittedTxn, TxnBuffers};
 use crate::metrics::ReplicationMetrics;
+use crate::replay::{order_inflight, InflightUndo};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use imci_common::{fx_hash_u64, DdlOp, FxHashMap, Result, Tid, Vid};
-use imci_core::ColumnStore;
+use imci_core::{ColumnStore, LogPosition};
 use imci_wal::{LogReader, RedoEntry, RedoPayload};
 use polarfs_sim::PolarFs;
 use rowstore::{apply_entry, LogicalChange, RowEngine, UndoOp};
@@ -52,8 +53,6 @@ pub struct ReplicationConfig {
     pub large_txn_threshold: usize,
     /// CALS on/off.
     pub ship_mode: ShipMode,
-    /// Byte offset in the REDO log to start from (checkpoint cursor).
-    pub start_offset: u64,
     /// Reader poll timeout when the log is idle.
     pub poll_interval: Duration,
 }
@@ -66,15 +65,10 @@ impl Default for ReplicationConfig {
             batch_txns: 64,
             large_txn_threshold: 8192,
             ship_mode: ShipMode::CommitAhead,
-            start_offset: 0,
             poll_interval: Duration::from_millis(1),
         }
     }
 }
-
-/// Row-side undo buffers for applied-but-undecided DMLs, keyed by
-/// transaction, each op stamped with its collector drain sequence.
-type InflightUndo = FxHashMap<Tid, Vec<(u64, UndoOp)>>;
 
 enum P1Msg {
     Entry(Box<RedoEntry>, u64),
@@ -121,26 +115,17 @@ enum P2Msg {
     Shutdown,
 }
 
-/// Everything a promotion needs from a drained pipeline: the §5.1
-/// transaction buffers' row-side mirror (undo for DMLs whose commit
-/// never arrived) plus the counters the resumed log writer starts from.
+/// Everything a promotion ([`crate::promote`]) needs from a drained
+/// pipeline: the §5.1 transaction buffers' row-side mirror (undo for
+/// DMLs whose commit never arrived) and the log position the node's
+/// state covers — the whole log, since the drain runs to its end.
 pub struct PromotionState {
     /// Undecided DMLs in original log order; the promoted engine undoes
     /// them in reverse with logged compensations
     /// (`RowEngine::rollback_inflight`).
     pub inflight: Vec<(Tid, UndoOp)>,
-    /// Distinct in-flight transactions.
-    pub inflight_txns: usize,
-    /// Highest TID seen in the log.
-    pub max_tid: u64,
-    /// Highest committed VID applied.
-    pub max_vid: u64,
-    /// Last LSN consumed — the log's tail, since the drain runs to the
-    /// end. The resumed writer continues at `last_lsn + 1`.
-    pub last_lsn: u64,
-    /// Highest commit-record LSN applied (the promoted node's
-    /// written-LSN floor: strong reads never regress across failover).
-    pub applied_lsn: u64,
+    /// The drained node's log position.
+    pub position: LogPosition,
 }
 
 /// A running replication pipeline for one RO node.
@@ -162,24 +147,28 @@ pub struct Pipeline {
     /// order). Maintained by the collector, consumed by
     /// [`Pipeline::stop_after_drain`].
     inflight_undo: Arc<parking_lot::Mutex<InflightUndo>>,
-    /// Shared storage + the byte offset this pipeline started tailing
-    /// from. The promotion drain needs them: pipeline metrics only
-    /// cover entries *after* the checkpoint cursor, but the resumed
-    /// writer's LSN/TID/VID counters must clear the whole log.
-    fs: PolarFs,
-    start_offset: u64,
+    /// REDO byte offset the reader stopped at (set when it exits).
+    end_offset: Arc<AtomicU64>,
 }
 
 impl Pipeline {
     /// Start the pipeline: `engine` is this node's row replica, `store`
-    /// its column indexes.
+    /// its column indexes, both covering the log up to `start` (see
+    /// [`crate::seed`]). The reader resumes at `start.offset`, and the
+    /// watermarks start at `start`'s counters.
     pub fn start(
         fs: PolarFs,
         engine: Arc<RowEngine>,
         store: Arc<ColumnStore>,
         config: ReplicationConfig,
+        start: LogPosition,
     ) -> Pipeline {
         let metrics = Arc::new(ReplicationMetrics::default());
+        metrics.read_lsn.store(start.last_lsn, Ordering::SeqCst);
+        metrics.max_tid.store(start.max_tid, Ordering::SeqCst);
+        metrics.visible_vid.store(start.max_vid, Ordering::SeqCst);
+        metrics.advance_applied(start.applied_lsn);
+        let end_offset = Arc::new(AtomicU64::new(start.offset));
         let stop = Arc::new(AtomicBool::new(false));
         let drain = Arc::new(AtomicBool::new(false));
         let errors = Arc::new(AtomicU64::new(0));
@@ -216,9 +205,10 @@ impl Pipeline {
             let engine = engine.clone();
             let store = store.clone();
             let errors = errors.clone();
+            let offset = end_offset.clone();
             handles.push(std::thread::spawn(move || {
                 reader_thread(
-                    fs, cfg, stop, drain, metrics, p1, out, engine, store, errors,
+                    fs, cfg, offset, stop, drain, metrics, p1, out, engine, store, errors,
                 );
             }));
         }
@@ -272,8 +262,7 @@ impl Pipeline {
             handles: parking_lot::Mutex::new(handles),
             errors,
             inflight_undo,
-            fs,
-            start_offset: config.start_offset,
+            end_offset,
         }
     }
 
@@ -318,37 +307,16 @@ impl Pipeline {
             let _ = h.join();
         }
         let drained = std::mem::take(&mut *self.inflight_undo.lock());
-        let (inflight, inflight_txns) = rowstore::recovery::order_inflight(drained);
-        // Metrics only saw entries after this pipeline's start offset.
-        // A checkpoint-seeded node promoted with little or no
-        // post-checkpoint traffic would otherwise resume the writer at
-        // LSN/TID/VID values the pre-cursor prefix already used —
-        // reused LSNs are silently skipped by every replica's per-page
-        // idempotency gate, losing committed writes. Decode the prefix
-        // (cheap, no application) exactly like crash recovery does.
-        let mut max_tid = self.metrics.max_tid.load(Ordering::SeqCst);
-        let mut max_vid = self.metrics.visible_vid();
-        let mut last_lsn = self.metrics.read_lsn();
-        let mut applied_lsn = self.metrics.applied_lsn();
-        if self.start_offset > 0 {
-            let mut prefix = LogReader::new(self.fs.clone(), 0);
-            for e in prefix.read_until(self.start_offset) {
-                last_lsn = last_lsn.max(e.lsn.get());
-                max_tid = max_tid.max(e.tid.get());
-                if let RedoPayload::Commit { commit_vid } = &e.payload {
-                    max_vid = max_vid.max(commit_vid.get());
-                    // The checkpoint state covers these commits.
-                    applied_lsn = applied_lsn.max(e.lsn.get());
-                }
-            }
-        }
+        let m = &self.metrics;
         PromotionState {
-            inflight,
-            inflight_txns,
-            max_tid,
-            max_vid,
-            last_lsn,
-            applied_lsn,
+            inflight: order_inflight(drained),
+            position: LogPosition {
+                offset: self.end_offset.load(Ordering::SeqCst),
+                last_lsn: m.read_lsn(),
+                applied_lsn: m.applied_lsn(),
+                max_tid: m.max_tid.load(Ordering::SeqCst),
+                max_vid: m.visible_vid(),
+            },
         }
     }
 }
@@ -363,6 +331,7 @@ impl Drop for Pipeline {
 fn reader_thread(
     fs: PolarFs,
     cfg: ReplicationConfig,
+    offset: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
     metrics: Arc<ReplicationMetrics>,
@@ -372,7 +341,7 @@ fn reader_thread(
     store: Arc<ColumnStore>,
     errors: Arc<AtomicU64>,
 ) {
-    let mut reader = LogReader::new(fs.clone(), cfg.start_offset);
+    let mut reader = LogReader::new(fs.clone(), offset.load(Ordering::SeqCst));
     let mut seq = 0u64;
     let n1 = p1.len() as u64;
     loop {
@@ -489,6 +458,7 @@ fn reader_thread(
             seq += 1;
         }
     }
+    offset.store(reader.offset(), Ordering::SeqCst);
     for tx in &p1 {
         let _ = tx.send(P1Msg::Shutdown);
     }
@@ -639,7 +609,7 @@ fn collector_thread(
 
 /// Column-store side of an applied DDL record — shared by the
 /// collector drain (Phase 2 quiesced first) and the single-threaded
-/// bootstrap replay in [`crate::sync`]. `stamp` is the VID rebuilt
+/// [`crate::replay()`]. `stamp` is the VID rebuilt
 /// ALTER rows are made visible at (the caller's current commit point).
 pub(crate) fn apply_column_ddl(
     op: &DdlOp,
@@ -814,7 +784,13 @@ mod tests {
         // records build both as the pipeline replays from offset 0.
         let ro_engine = RowEngine::new_replica(fs.clone(), 1 << 20);
         let store = Arc::new(ColumnStore::new(1024));
-        let p = Pipeline::start(fs.clone(), ro_engine, store.clone(), cfg);
+        let p = Pipeline::start(
+            fs.clone(),
+            ro_engine,
+            store.clone(),
+            cfg,
+            LogPosition::default(),
+        );
         (p, store)
     }
 
@@ -1047,6 +1023,7 @@ mod tests {
             ro_engine.clone(),
             store.clone(),
             ReplicationConfig::default(),
+            LogPosition::default(),
         );
         let mut txn = rw.begin();
         for pk in 0..200i64 {
@@ -1099,6 +1076,7 @@ mod tests {
             ro_engine.clone(),
             store.clone(),
             ReplicationConfig::default(),
+            LogPosition::default(),
         );
         // One committed txn...
         let mut txn = rw.begin();
@@ -1130,8 +1108,8 @@ mod tests {
         // Fence the writer (the failover precondition), then drain.
         fs.bump_epoch();
         let state = pipe.stop_after_drain();
-        assert_eq!(state.inflight_txns, 1);
         assert_eq!(state.inflight.len(), 2, "insert + update undecided");
+        assert_eq!(state.inflight[1].0, open.tid, "one transaction in flight");
         assert_eq!(state.inflight[0].0, open.tid);
         assert!(matches!(
             state.inflight[0].1,
@@ -1144,9 +1122,11 @@ mod tests {
             other => panic!("expected update undo, got {other:?}"),
         }
         // The drain consumed the whole log and applied every commit.
-        assert_eq!(state.last_lsn, rw.log().unwrap().tail_lsn().get());
-        assert_eq!(state.applied_lsn, rw.log().unwrap().written_lsn().get());
-        assert!(state.max_tid >= open.tid.get());
+        let pos = state.position;
+        assert_eq!(pos.last_lsn, rw.log().unwrap().tail_lsn().get());
+        assert_eq!(pos.applied_lsn, rw.log().unwrap().written_lsn().get());
+        assert!(pos.max_tid >= open.tid.get());
+        assert_eq!(pos.offset, fs.log_len(imci_wal::REDO_LOG_NAME));
         // Row replica holds committed + exactly the undecided ops.
         assert_eq!(ro_engine.row_count("t").unwrap(), 21);
         assert_eq!(
@@ -1182,21 +1162,20 @@ mod tests {
         let last_vid = rw.txns.last_commit_vid().get();
 
         // Checkpoint at the exact tail; boot a node from it.
-        let state = crate::sync::take_checkpoint(&fs, 1, None, 64).unwrap();
-        let meta = imci_core::read_meta(&fs, 1).unwrap();
-        let store = Arc::new(ColumnStore::new(64));
+        crate::take_checkpoint(&fs, 1, None, 64).unwrap();
+        let seeded = crate::seed(&fs, 64).unwrap();
         let pipe = Pipeline::start(
             fs.clone(),
-            state.engine.clone(),
-            store,
-            ReplicationConfig {
-                start_offset: meta.redo_offset,
-                ..Default::default()
-            },
+            seeded.engine.clone(),
+            seeded.store.clone(),
+            ReplicationConfig::default(),
+            seeded.position,
         );
+        // The watermarks start at the checkpoint: caught up already.
+        assert!(pipe.wait_applied(written, Duration::ZERO));
         // Promote immediately: zero suffix entries read.
         fs.bump_epoch();
-        let promo = pipe.stop_after_drain();
+        let promo = pipe.stop_after_drain().position;
         assert_eq!(promo.last_lsn, tail, "prefix LSNs must be covered");
         assert_eq!(promo.applied_lsn, written);
         assert_eq!(promo.max_vid, last_vid);
@@ -1213,6 +1192,7 @@ mod tests {
             ro_engine.clone(),
             store,
             ReplicationConfig::default(),
+            LogPosition::default(),
         );
         let mut txn = rw.begin();
         for pk in 0..100i64 {

@@ -23,7 +23,6 @@ pub mod btree;
 pub mod bufferpool;
 pub mod engine;
 pub mod page;
-pub mod recovery;
 pub mod table;
 pub mod txn;
 
@@ -32,6 +31,5 @@ pub use apply::{apply_entry, LogicalChange, LogicalDml};
 pub use bufferpool::BufferPool;
 pub use engine::RowEngine;
 pub use page::{Page, PageKind, PAGE_BYTE_CAPACITY};
-pub use recovery::{RecoverOptions, RecoveryReport};
 pub use table::TableRt;
 pub use txn::{Txn, TxnManager, UndoOp};

@@ -177,8 +177,7 @@ impl QueryEngine {
     /// Execute any SQL statement (DML auto-commits). **The** entry
     /// point: SELECT routing, per-call engine pins, executor tuning,
     /// and `EXPLAIN [ANALYZE]` all go through here, parameterized by
-    /// [`QueryOptions`]. The old `execute`/`execute_forced`/
-    /// `execute_select*` family survives as deprecated shims over this.
+    /// [`QueryOptions`].
     pub fn run(&self, sql: &str, opts: &QueryOptions) -> Result<QueryResult> {
         // Scanner-level point-read fast path: recognize the hot OLTP
         // shape (`SELECT cols FROM t WHERE pk = k`) before even lexing
@@ -623,40 +622,6 @@ impl QueryEngine {
         let (plan, ctx) = self.column_plan_ctx(q, opts)?;
         let out = imci_executor::execute(&plan, &ctx)?;
         Ok((0..out.len).map(|r| out.row(r)).collect())
-    }
-
-    /// Execute any SQL statement with node-global settings.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions`")]
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.run(sql, &QueryOptions::default())
-    }
-
-    /// Execute with a per-call engine pin for SELECTs.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions { engine, .. }`")]
-    pub fn execute_forced(&self, sql: &str, force: Option<EngineChoice>) -> Result<QueryResult> {
-        self.run(sql, &QueryOptions::forced(force))
-    }
-
-    /// Execute a parsed statement with node-global settings.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions`")]
-    pub fn execute_stmt(&self, stmt: &Statement) -> Result<QueryResult> {
-        self.run_stmt(stmt, &QueryOptions::default())
-    }
-
-    /// Bind, route, and execute a SELECT; returns the engine used.
-    #[deprecated(note = "use `QueryEngine::run`; `QueryResult::engine` reports the engine")]
-    pub fn execute_select(&self, s: &SelectStmt) -> Result<(QueryResult, EngineChoice)> {
-        self.run_select(s, &QueryOptions::default())
-    }
-
-    /// Execute a SELECT with a per-call engine pin.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions { engine, .. }`")]
-    pub fn execute_select_with(
-        &self,
-        s: &SelectStmt,
-        force: Option<EngineChoice>,
-    ) -> Result<(QueryResult, EngineChoice)> {
-        self.run_select(s, &QueryOptions::forced(force))
     }
 
     /// Build the column physical plan without running it (benches).

@@ -63,6 +63,15 @@ impl LogReader {
     /// offset `cap`. Used by the OnCommit (non-CALS) strawman, which
     /// must not see log entries that are not yet durable.
     pub fn read_until(&mut self, cap: u64) -> Vec<RedoEntry> {
+        self.read_frames_until(cap)
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect()
+    }
+
+    /// [`LogReader::read_until`], with each entry paired with the byte
+    /// offset just past its frame — the offsets replay may stop at.
+    pub fn read_frames_until(&mut self, cap: u64) -> Vec<(RedoEntry, u64)> {
         let mut out = Vec::new();
         while self.offset < cap {
             let max = (cap - self.offset).min(CHUNK as u64) as usize;
@@ -72,10 +81,12 @@ impl LogReader {
             }
             self.offset += chunk.len() as u64;
             self.buf.extend_from_slice(&chunk);
+            // Log offset of `buf[0]`.
+            let base = self.offset - self.buf.len() as u64;
             let mut pos = 0;
             while let Ok(Some((entry, used))) = RedoEntry::decode(&self.buf[pos..]) {
-                out.push(entry);
                 pos += used;
+                out.push((entry, base + pos as u64));
             }
             self.buf.drain(..pos);
         }
@@ -153,6 +164,38 @@ mod tests {
         let es = r2.read_available();
         assert_eq!(es.len(), 1);
         assert_eq!(es[0].lsn.get(), 2);
+    }
+
+    #[test]
+    fn frame_ends_are_resumable_offsets() {
+        let fs = PolarFs::instant();
+        let w = LogWriter::new(fs.clone(), PropagationMode::ReuseRedo);
+        for pk in 0..300 {
+            w.append(
+                Tid(1),
+                TableId(1),
+                PageId(1),
+                0,
+                RedoPayload::Insert {
+                    pk,
+                    image: vec![0u8; 5_000],
+                },
+            )
+            .unwrap();
+        }
+        let len = fs.log_len(REDO_LOG_NAME);
+        let frames = LogReader::new(fs.clone(), 0).read_frames_until(len);
+        assert_eq!(frames.len(), 300);
+        assert_eq!(frames[299].1, len);
+        // Every frame end is where a fresh reader picks up the next entry.
+        for (i, (_, end)) in frames.iter().enumerate().step_by(37) {
+            let next = LogReader::new(fs.clone(), *end).read_available();
+            assert_eq!(next.len(), 299 - i);
+            assert_eq!(
+                next.first().map(|e| e.lsn.get()),
+                frames.get(i + 1).map(|f| f.0.lsn.get())
+            );
+        }
     }
 
     #[test]

@@ -229,6 +229,7 @@ proptest! {
         if promote {
             let report = c.failover().unwrap();
             prop_assert!(report.epoch >= 1);
+            prop_assert!(report.column_caught_up, "column rebuild timed out");
         } else {
             c.recover_rw().unwrap();
         }
@@ -390,7 +391,7 @@ fn crash_right_after_ddl_keeps_the_table() {
         .unwrap();
         c.crash_rw();
         if promote {
-            c.failover().unwrap();
+            assert!(c.failover().unwrap().column_caught_up);
         } else {
             c.recover_rw().unwrap();
         }
@@ -434,7 +435,7 @@ fn repeated_crash_cycles_accumulate_no_loss() {
         if cycle % 2 == 0 {
             c.recover_rw().unwrap();
         } else {
-            c.failover().unwrap();
+            assert!(c.failover().unwrap().column_caught_up, "cycle {cycle}");
         }
         assert_eq!(
             c.rw().unwrap().row_count("walk").unwrap() as i64,

@@ -129,9 +129,10 @@ proptest! {
         prop_assert_eq!(&got, &model);
 
         // Replica replay == model (pages, secondaries, and extraction).
-        let state = polardb_imci::replication::replay_log_sync(
-            &fs, None, 64, usize::MAX / 2,
-        ).unwrap();
+        use polardb_imci::replication::{replay, seed, Stop};
+        let mut state = seed(&fs, 64).unwrap();
+        let replayed = replay(&fs, &mut state, Stop::LogEnd).unwrap();
+        prop_assert!(replayed.inflight.is_empty(), "every transaction decided");
         let mut replica = BTreeMap::new();
         state.engine.scan("t", i64::MIN, i64::MAX, |pk, row| {
             replica.insert(pk, row.values[1].as_int().unwrap());
