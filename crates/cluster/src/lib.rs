@@ -181,16 +181,23 @@ impl Heartbeat {
     fn start(fs: PolarFs, epoch: u64, interval: Duration) -> Heartbeat {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let stop2 = stop.clone();
+        // The first beat lands before the writer serves anything: the
+        // supervisor arms on a beat of the current epoch, so a writer
+        // that died before its thread first ran would go undetected.
+        let alive = fs.heartbeat(epoch).is_ok();
         let handle = std::thread::Builder::new()
             .name("rw-heartbeat".into())
             .spawn(move || {
                 let (lock, cv) = &*stop2;
                 let mut stopped = lock.lock();
+                if !alive {
+                    return;
+                }
                 loop {
+                    let _ = cv.wait_for(&mut stopped, interval);
                     if *stopped || fs.heartbeat(epoch).is_err() {
                         return;
                     }
-                    let _ = cv.wait_for(&mut stopped, interval);
                 }
             })
             .expect("spawn heartbeat thread");
@@ -524,6 +531,12 @@ impl Cluster {
     /// column plans lag until the new pipeline catches up, like a
     /// freshly scaled-out RO.
     pub fn failover(&self) -> Result<FailoverReport> {
+        self.promote(None)
+    }
+
+    /// [`Cluster::failover`]; `detected` is the lease age when the
+    /// supervisor promotes on its own.
+    fn promote(&self, detected: Option<Duration>) -> Result<FailoverReport> {
         let _promotion = self.promotion_lock.lock();
         let t0 = Instant::now();
         // Depose (no-op if already crashed); the floor snapshot runs
@@ -545,7 +558,7 @@ impl Cluster {
             ros.remove(best)
         };
         let t_drain = Instant::now();
-        let state = node.pipeline.stop_after_drain();
+        let state = node.pipeline.stop_after_drain()?;
         let drain_time = t_drain.elapsed();
         let rolled_back_txns = imci_replication::promote(
             &self.fs,
@@ -564,6 +577,13 @@ impl Cluster {
         let mut query = QueryEngine::dual(node.engine.clone(), follower.store.clone());
         query.cost_threshold = self.config.cost_threshold;
         let heartbeat = Heartbeat::start(self.fs.clone(), epoch, self.config.heartbeat_interval);
+        // Counted before the new writer is visible: whoever sees it (a
+        // replayed statement, `STATUS`) also sees the promotion.
+        if let Some(age) = detected {
+            self.detection_ms_last
+                .store(age.as_millis() as u64, Ordering::SeqCst);
+            self.auto_failovers.fetch_add(1, Ordering::SeqCst);
+        }
         *self.rw.write() = Some(RwNode {
             engine: node.engine.clone(),
             query,
@@ -1082,18 +1102,11 @@ fn supervise(weak: Weak<Cluster>, cfg: SupervisorConfig, stop: Arc<(Mutex<bool>,
             continue;
         }
         c.supervisor_state.store(SUP_PROMOTING, Ordering::SeqCst);
-        match c.failover() {
-            Ok(_) => {
-                c.detection_ms_last
-                    .store(age.as_millis() as u64, Ordering::SeqCst);
-                c.auto_failovers.fetch_add(1, Ordering::SeqCst);
-            }
-            Err(_) => {
-                // Nothing to promote (no RO), or the promotion raced a
-                // manual recovery. Park until fresh beats say there is
-                // a writer to watch again.
-                c.fs.wait_beat(lease.beats, cfg.lease_timeout);
-            }
+        if c.promote(Some(age)).is_err() {
+            // Nothing to promote (no RO), or the promotion raced a
+            // manual recovery. Park until fresh beats say there is a
+            // writer to watch again.
+            c.fs.wait_beat(lease.beats, cfg.lease_timeout);
         }
         armed = false;
     }
@@ -1114,7 +1127,7 @@ mod tests {
         Cluster::start(ClusterConfig {
             group_cap: 64,
             replication: ReplicationConfig {
-                batch_txns: 4,
+                parallelism: 4,
                 ..Default::default()
             },
             ..Default::default()

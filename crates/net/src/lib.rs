@@ -677,7 +677,41 @@ mod tests {
         assert_eq!(rest, "");
         let srv = handle.join().unwrap();
         assert_eq!(srv.stats().active_sessions.load(Ordering::SeqCst), 0);
-        assert_eq!(srv.stats().drained.load(Ordering::SeqCst), 1);
+        // The session, plus the throwaway connection shutdown makes to
+        // wake the acceptor: it too gets the goodbye from the backlog.
+        assert_eq!(srv.stats().drained.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn shutdown_says_goodbye_to_connections_parked_in_the_backlog() {
+        let srv = echo_server(0, |_| {});
+        let addr = srv.local_addr();
+        let shared = srv.shared.clone();
+        // Holding the reactor's inbox parks the acceptor right after
+        // its first accept, so every later connection waits in the
+        // kernel backlog, handshake complete, until shutdown.
+        let inbox = shared.reactors[0].inbox.lock();
+        let conns: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let mut srv = srv;
+        let shutter = std::thread::spawn(move || {
+            srv.shutdown();
+            srv
+        });
+        while !shared.stop_accept.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(inbox);
+        for conn in conns {
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reader = BufReader::new(conn);
+            assert_eq!(read_line(&mut reader), "bye: drain\n");
+            let mut rest = String::new();
+            reader.read_to_string(&mut rest).unwrap();
+            assert_eq!(rest, "");
+        }
+        let srv = shutter.join().unwrap();
+        assert!(srv.stats().drained.load(Ordering::SeqCst) >= 4);
     }
 
     #[test]

@@ -106,6 +106,30 @@ pub(crate) fn acceptor_loop<P: Proto>(shared: Arc<Shared<P>>, listener: TcpListe
     let mut next = 0usize;
     for incoming in listener.incoming() {
         if shared.stop_accept.load(Ordering::SeqCst) {
+            // The kernel already completed the handshake of this
+            // connection and of every one still in the backlog: each
+            // gets the drain goodbye before the listener drops, never a
+            // silent close. Like the over-budget frame, it fits the
+            // send buffer, so a non-reading peer cannot block us.
+            let (_, mut exec) = shared.proto.open();
+            let mut goodbye = Vec::new();
+            shared.proto.run(
+                &mut exec,
+                vec![shared.proto.goodbye(Goodbye::Drain)],
+                &mut goodbye,
+            );
+            let nonblocking = listener.set_nonblocking(true).is_ok();
+            let backlog = std::iter::from_fn(|| {
+                nonblocking
+                    .then(|| listener.accept().ok().map(|(s, _)| s))
+                    .flatten()
+            });
+            for mut s in incoming.ok().into_iter().chain(backlog) {
+                let _ = s.set_nodelay(true);
+                let _ = s.write_all(&goodbye);
+                let _ = s.shutdown(Shutdown::Both);
+                shared.stats.drained.fetch_add(1, Ordering::SeqCst);
+            }
             break;
         }
         let stream = match incoming {

@@ -1,32 +1,35 @@
 //! Update propagation: CALS + 2P-COFFER (paper §5).
 //!
-//! The pipeline that keeps an RO node's dual-format storage fresh:
+//! One apply path keeps an RO node's dual-format storage fresh, and
+//! rebuilds node state from shared storage:
 //!
 //! ```text
 //!   REDO log (shared storage)
 //!      │  reader thread (tails the log; CALS: entries ship pre-commit)
 //!      ▼
-//!   Phase-1 workers        ── hash(page_id) % N, conflict-free ──
-//!      │  apply page changes to the RO row replica,
-//!      │  reconstruct logical DMLs with old/new images
+//!   apply step, per read batch, in LSN order:
+//!      Phase 1   page changes to the row replica + logical DMLs
+//!      buffers   §5.1 transaction buffers, §5.5 pre-commit; commit
+//!                records release transactions, aborts drop them
+//!      Phase 2   §4.2 DML on the column indexes
+//!      DDL       both formats, with nothing in flight
+//!      │  < FANOUT_MIN_DMLS DMLs: all inline on the reader;
+//!      │  more: each phase on `parallelism` workers, Phase 1 by
+//!      │  hash(page_id), Phase 2 by hash(primary key), joined per phase
 //!      ▼
-//!   collector thread       ── re-sorts by LSN, fills transaction
-//!      │                      buffers, pre-commits large txns (§5.5)
-//!      ▼  (commit record seen → buffer becomes a committed txn)
-//!   Phase-2 dispatcher     ── hash(primary key) % M, conflict-free ──
-//!      ▼
-//!   Phase-2 workers        ── §4.2 DML on the column indexes,
-//!                             batch commit advances the watermark
+//!   publish: visible VID, then applied LSN (wakes strong readers)
 //! ```
 //!
 //! * [`buffer`] — transaction buffers and the large-transaction
 //!   pre-commit path;
-//! * [`pipeline`] — the threaded 2P-COFFER implementation;
+//! * [`pipeline`] — the live reader that drives the apply step;
 //! * [`mod@replay`] — rebuilding state from shared storage: the checkpoint
-//!   seed, single-threaded replay, checkpointing, RW crash recovery and
-//!   the promotion step it shares with RO failover;
-//! * [`metrics`] — counters the benches report (applied LSN, VD inputs).
+//!   seed, replay (the same step on one thread), checkpointing, RW crash
+//!   recovery and the promotion step it shares with RO failover;
+//! * [`metrics`] — counters the benches report (applied LSN, VD inputs,
+//!   inline vs fanned-out batches).
 
+mod apply;
 pub mod buffer;
 pub mod metrics;
 pub mod pipeline;
@@ -35,7 +38,7 @@ pub mod replay;
 pub use buffer::{CommittedTxn, TxnBuffers, TxnOp};
 pub use imci_core::LogPosition;
 pub use metrics::ReplicationMetrics;
-pub use pipeline::{Pipeline, ReplicationConfig, ShipMode};
+pub use pipeline::{Pipeline, ReplicationConfig, ShipMode, FANOUT_MIN_DMLS};
 pub use replay::{
     promote, recover_writer, replay, seed, take_checkpoint, RecoveryReport, Replayed, ReplicaState,
     Stop,

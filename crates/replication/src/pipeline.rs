@@ -1,31 +1,48 @@
-//! The threaded 2P-COFFER pipeline (paper §5.2–§5.4).
+//! The live 2P-COFFER pipeline (paper §5.2–§5.4): one log reader that
+//! applies what it reads.
 //!
-//! Thread layout: 1 reader → N Phase-1 workers (page-partitioned) →
-//! 1 collector (LSN re-sort + transaction buffers) → 1 dispatcher →
-//! M Phase-2 workers (PK-partitioned) with per-batch barriers.
+//! Thread layout: one reader thread tails the REDO log. Each read batch
+//! goes through the apply step that [`crate::replay()`] also runs
+//! (`Applier::apply` in `apply.rs`); then the reader publishes the
+//! batch: counters, then the visible VID, then the applied LSN, which
+//! wakes strong readers.
 //!
-//! Conflict freedom:
-//! * Phase 1: entries that touch the same page hash to the same worker
-//!   and arrive in LSN order; different pages never conflict.
-//! * Phase 2: ops with the same primary key hash to the same worker;
-//!   the dispatcher walks transactions in commit order, so two updates
-//!   of one row — even from different transactions — reach their worker
-//!   already ordered (the Fig. 6 example).
+//! A batch with fewer than [`FANOUT_MIN_DMLS`] DML entries is applied
+//! inline on the reader: a one-transaction commit crosses no thread
+//! handoff between the log and the watermark. A larger batch runs each
+//! phase on `parallelism` workers (the reader plus scoped threads), with
+//! a join at the end of each phase: Phase 1 page-partitioned, Phase 2
+//! PK-partitioned. The conflict-freedom argument for such a batch is in
+//! the `apply.rs` module docs; DDL records apply on the reader
+//! between the joins, with nothing in flight.
 
-use crate::buffer::{apply_txn_op, CommittedTxn, TxnBuffers};
+use crate::apply::Applier;
 use crate::metrics::ReplicationMetrics;
-use crate::replay::{order_inflight, InflightUndo};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use imci_common::{fx_hash_u64, DdlOp, FxHashMap, Result, Tid, Vid};
+use imci_common::{Error, Result, Tid};
 use imci_core::{ColumnStore, LogPosition};
-use imci_wal::{LogReader, RedoEntry, RedoPayload};
+use imci_wal::{LogReader, REDO_LOG_NAME};
 use polarfs_sim::PolarFs;
-use rowstore::{apply_entry, LogicalChange, RowEngine, UndoOp};
-use std::collections::BTreeMap;
+use rowstore::{RowEngine, UndoOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Fewest DML entries in one read batch that fan its phases out to
+/// `parallelism` workers; smaller batches apply inline on the reader.
+/// Sized from measurement on a 2-vCPU VM, replaying an already-written
+/// log of 8-row insert transactions: inline apply costs 2–3 µs per DML
+/// entry; two workers took 3.7× the inline time at 256 DMLs, broke even
+/// at 1,024, and lost again on long runs of sequential inserts, where
+/// page partitioning leaves one hot leaf and both workers append to one
+/// column group. The 100k-row sysbench load, applied while the writer
+/// produces it, finished 6% sooner fanned out (median of five). Steady
+/// CH-benCH and sysbench read batches hold a few DMLs and stay inline.
+pub const FANOUT_MIN_DMLS: usize = 1024;
+
+/// Most log bytes one live read takes, so a long catch-up publishes
+/// progress (and holds one batch of decoded entries) as it goes.
+const READ_BATCH_BYTES: u64 = 1 << 20;
 
 /// When DML log entries become visible to the RO node (Fig. 11 / §5.1
 /// ablation).
@@ -43,12 +60,10 @@ pub enum ShipMode {
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Phase-1 (page-grained) worker count.
-    pub phase1_workers: usize,
-    /// Phase-2 (row-grained) worker count.
-    pub phase2_workers: usize,
-    /// Transactions per Phase-2 batch commit.
-    pub batch_txns: usize,
+    /// Apply workers per phase for a read batch of at least
+    /// [`FANOUT_MIN_DMLS`] DML entries (the reader counts as one).
+    /// 1 applies every batch inline on the reader.
+    pub parallelism: usize,
     /// §5.5 pre-commit threshold in DMLs per transaction.
     pub large_txn_threshold: usize,
     /// CALS on/off.
@@ -60,59 +75,12 @@ pub struct ReplicationConfig {
 impl Default for ReplicationConfig {
     fn default() -> ReplicationConfig {
         ReplicationConfig {
-            phase1_workers: 2,
-            phase2_workers: 2,
-            batch_txns: 64,
+            parallelism: 2,
             large_txn_threshold: 8192,
             ship_mode: ShipMode::CommitAhead,
             poll_interval: Duration::from_millis(1),
         }
     }
-}
-
-enum P1Msg {
-    Entry(Box<RedoEntry>, u64),
-    Shutdown,
-}
-
-enum Outcome {
-    Dml(Box<LogicalChange>),
-    Commit {
-        tid: Tid,
-        vid: Vid,
-        lsn: u64,
-    },
-    Abort {
-        tid: Tid,
-    },
-    /// A destructive/in-place catalog change (DROP / ALTER) deferred to
-    /// the collector's LSN-sorted drain; CREATEs are applied by the
-    /// reader (see `reader_thread`).
-    Ddl {
-        version: u64,
-        op: DdlOp,
-    },
-    Noop,
-}
-
-enum ResultMsg {
-    Out { seq: u64, outcome: Outcome },
-    Done,
-}
-
-enum DispatchMsg {
-    Txn(CommittedTxn),
-    /// Barrier RPC: apply everything dispatched so far, then ack on the
-    /// flush channel. Used by the collector to quiesce Phase 2 before a
-    /// destructive catalog change.
-    Flush,
-    Shutdown,
-}
-
-enum P2Msg {
-    Op { vid: Vid, op: crate::buffer::TxnOp },
-    Barrier,
-    Shutdown,
 }
 
 /// Everything a promotion ([`crate::promote`]) needs from a drained
@@ -128,6 +96,10 @@ pub struct PromotionState {
     pub position: LogPosition,
 }
 
+/// What the reader thread hands back when it exits: the undo of every
+/// undecided DML and the position its state covers.
+type Drained = (Vec<(Tid, UndoOp)>, LogPosition);
+
 /// A running replication pipeline for one RO node.
 pub struct Pipeline {
     metrics: Arc<ReplicationMetrics>,
@@ -139,16 +111,10 @@ pub struct Pipeline {
     // Behind a mutex so `stop` works through a shared reference: the
     // cluster must be able to halt a node's pipeline even while proxy
     // sessions still hold `Arc`s to the node (scale-in/shutdown).
-    handles: parking_lot::Mutex<Vec<JoinHandle<()>>>,
-    /// Errors observed by workers (pipeline keeps running; benches
-    /// assert this stays 0).
+    reader: parking_lot::Mutex<Option<JoinHandle<Drained>>>,
+    /// Entries and ops that failed to apply (the pipeline keeps
+    /// running; benches assert this stays 0).
     errors: Arc<AtomicU64>,
-    /// Row-side undo for every applied-but-undecided DML (= log
-    /// order). Maintained by the collector, consumed by
-    /// [`Pipeline::stop_after_drain`].
-    inflight_undo: Arc<parking_lot::Mutex<InflightUndo>>,
-    /// REDO byte offset the reader stopped at (set when it exits).
-    end_offset: Arc<AtomicU64>,
 }
 
 impl Pipeline {
@@ -168,101 +134,41 @@ impl Pipeline {
         metrics.max_tid.store(start.max_tid, Ordering::SeqCst);
         metrics.visible_vid.store(start.max_vid, Ordering::SeqCst);
         metrics.advance_applied(start.applied_lsn);
-        let end_offset = Arc::new(AtomicU64::new(start.offset));
         let stop = Arc::new(AtomicBool::new(false));
         let drain = Arc::new(AtomicBool::new(false));
         let errors = Arc::new(AtomicU64::new(0));
-        let inflight_undo: Arc<parking_lot::Mutex<InflightUndo>> =
-            Arc::new(parking_lot::Mutex::new(FxHashMap::default()));
-        let n1 = config.phase1_workers.max(1);
-        let n2 = config.phase2_workers.max(1);
-
-        let (result_tx, result_rx) = bounded::<ResultMsg>(16_384);
-        let mut p1_txs: Vec<Sender<P1Msg>> = Vec::with_capacity(n1);
-        let mut handles = Vec::new();
-
-        // ---- Phase-1 workers ----
-        for _ in 0..n1 {
-            let (tx, rx) = bounded::<P1Msg>(8_192);
-            p1_txs.push(tx);
-            let engine = engine.clone();
-            let out = result_tx.clone();
-            let errors = errors.clone();
-            handles.push(std::thread::spawn(move || {
-                phase1_worker(rx, engine, out, errors);
-            }));
-        }
-
-        // ---- reader ----
-        {
-            let fs = fs.clone();
-            let stop = stop.clone();
-            let drain = drain.clone();
-            let metrics = metrics.clone();
-            let out = result_tx.clone();
-            let p1 = p1_txs.clone();
-            let cfg = config.clone();
-            let engine = engine.clone();
-            let store = store.clone();
-            let errors = errors.clone();
-            let offset = end_offset.clone();
-            handles.push(std::thread::spawn(move || {
-                reader_thread(
-                    fs, cfg, offset, stop, drain, metrics, p1, out, engine, store, errors,
-                );
-            }));
-        }
-        drop(result_tx);
-
-        // ---- dispatcher + Phase-2 workers ----
-        let (disp_tx, disp_rx) = bounded::<DispatchMsg>(4_096);
-        let (ack_tx, ack_rx) = bounded::<()>(n2 * 2);
-        let (flush_tx, flush_rx) = bounded::<()>(1);
-        let mut p2_txs: Vec<Sender<P2Msg>> = Vec::with_capacity(n2);
-        for _ in 0..n2 {
-            let (tx, rx) = bounded::<P2Msg>(8_192);
-            p2_txs.push(tx);
-            let store = store.clone();
-            let ack = ack_tx.clone();
-            let errors = errors.clone();
-            handles.push(std::thread::spawn(move || {
-                phase2_worker(rx, store, ack, errors);
-            }));
-        }
-        {
-            let store = store.clone();
-            let metrics = metrics.clone();
-            let batch = config.batch_txns.max(1);
-            handles.push(std::thread::spawn(move || {
-                dispatcher_thread(disp_rx, p2_txs, ack_rx, store, metrics, batch, flush_tx);
-            }));
-        }
-
-        // ---- collector ----
-        {
-            let metrics = metrics.clone();
-            let engine = engine.clone();
-            let store = store.clone();
-            let errors = errors.clone();
-            let undo = inflight_undo.clone();
-            let threshold = config.large_txn_threshold;
-            let markers = n1 + 1; // workers + reader
-            handles.push(std::thread::spawn(move || {
-                collector_thread(
-                    result_rx, disp_tx, flush_rx, engine, store, metrics, errors, undo, threshold,
-                    markers,
-                );
-            }));
-        }
-
+        let reader = {
+            let (stop, drain) = (stop.clone(), drain.clone());
+            let (metrics, errors) = (metrics.clone(), errors.clone());
+            std::thread::spawn(move || {
+                let mut reader = LogReader::new(fs.clone(), start.offset);
+                let mut applier =
+                    Applier::new(&engine, Some(&*store), config.large_txn_threshold, start);
+                // Stop promptly even while the RW keeps producing;
+                // `stop` means stop, not "stop once the log goes quiet".
+                while !stop.load(Ordering::SeqCst) {
+                    let draining = drain.load(Ordering::SeqCst);
+                    let frames = read_batch(&fs, &config, &mut reader, draining);
+                    if frames.is_empty() {
+                        if draining {
+                            break;
+                        }
+                        continue;
+                    }
+                    let dmls = frames.iter().filter(|(e, _)| e.payload.is_dml()).count();
+                    let fan_out = dmls >= FANOUT_MIN_DMLS && config.parallelism > 1;
+                    applier.apply(&frames, if fan_out { config.parallelism } else { 1 });
+                    publish(&metrics, &errors, &applier, fan_out);
+                }
+                applier.finish()
+            })
+        };
         Pipeline {
             metrics,
             stop,
             drain,
-            handles: parking_lot::Mutex::new(handles),
+            reader: parking_lot::Mutex::new(Some(reader)),
             errors,
-            inflight_undo,
-            end_offset,
         }
     }
 
@@ -271,7 +177,7 @@ impl Pipeline {
         &self.metrics
     }
 
-    /// Worker errors observed so far (0 in a healthy run).
+    /// Apply errors observed so far (0 in a healthy run).
     pub fn error_count(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
@@ -283,14 +189,12 @@ impl Pipeline {
         self.metrics.wait_applied_at_least(lsn, timeout)
     }
 
-    /// Stop and join all threads. Idempotent, and callable through a
+    /// Stop and join the reader thread. Idempotent, and callable through a
     /// shared reference so the cluster can halt a node's replication
     /// even when sessions still hold the node `Arc`.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
+        self.join();
     }
 
     /// Drain the pipeline to the log's end, stop it, and hand back
@@ -300,24 +204,18 @@ impl Pipeline {
     /// committed transaction in the log is applied to both formats, and
     /// `inflight` holds the exact row-side undo for the rest: the
     /// drained node's row replica equals "all committed + precisely
-    /// these undecided ops".
-    pub fn stop_after_drain(&self) -> PromotionState {
+    /// these undecided ops". Fails if the pipeline was already stopped.
+    pub fn stop_after_drain(&self) -> Result<PromotionState> {
         self.drain.store(true, Ordering::SeqCst);
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
-        let drained = std::mem::take(&mut *self.inflight_undo.lock());
-        let m = &self.metrics;
-        PromotionState {
-            inflight: order_inflight(drained),
-            position: LogPosition {
-                offset: self.end_offset.load(Ordering::SeqCst),
-                last_lsn: m.read_lsn(),
-                applied_lsn: m.applied_lsn(),
-                max_tid: m.max_tid.load(Ordering::SeqCst),
-                max_vid: m.visible_vid(),
-            },
-        }
+        let (inflight, position) = self.join().ok_or_else(|| {
+            Error::Replication("replication reader already stopped or panicked".into())
+        })?;
+        Ok(PromotionState { inflight, position })
+    }
+
+    fn join(&self) -> Option<Drained> {
+        let reader = self.reader.lock().take();
+        reader.and_then(|h| h.join().ok())
     }
 }
 
@@ -327,419 +225,60 @@ impl Drop for Pipeline {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn reader_thread(
-    fs: PolarFs,
-    cfg: ReplicationConfig,
-    offset: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    drain: Arc<AtomicBool>,
-    metrics: Arc<ReplicationMetrics>,
-    p1: Vec<Sender<P1Msg>>,
-    results: Sender<ResultMsg>,
-    engine: Arc<RowEngine>,
-    store: Arc<ColumnStore>,
-    errors: Arc<AtomicU64>,
-) {
-    let mut reader = LogReader::new(fs.clone(), offset.load(Ordering::SeqCst));
-    let mut seq = 0u64;
-    let n1 = p1.len() as u64;
-    loop {
-        // Stop promptly even while the RW keeps producing; `stop` means
-        // stop, not "stop once the log goes quiet".
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let draining = drain.load(Ordering::SeqCst);
-        // Promotion drain: the old writer is epoch-fenced, so the log
-        // is static — consume it to the very end (even past the durable
-        // point in OnCommit mode: the resumed writer appends after the
-        // physical tail, so every byte before it must be accounted
-        // for), then exit.
-        let entries = if draining {
-            reader.read_available()
-        } else {
-            // OnCommit strawman: cap reads at the durable commit point.
-            match cfg.ship_mode {
-                ShipMode::CommitAhead => reader.wait_and_read(cfg.poll_interval),
-                ShipMode::OnCommit => {
-                    let cap = fs.synced_len(imci_wal::REDO_LOG_NAME);
-                    if reader.offset() >= cap {
-                        std::thread::sleep(cfg.poll_interval);
-                        Vec::new()
-                    } else {
-                        reader.read_until(cap)
-                    }
-                }
-            }
-        };
-        if entries.is_empty() {
-            if stop.load(Ordering::SeqCst) || draining {
-                break;
-            }
-            continue;
-        }
-        for e in entries {
-            metrics.entries_read.fetch_add(1, Ordering::Relaxed);
-            metrics.read_lsn.fetch_max(e.lsn.get(), Ordering::SeqCst);
-            metrics.max_tid.fetch_max(e.tid.get(), Ordering::SeqCst);
-            match &e.payload {
-                RedoPayload::Commit { commit_vid } => {
-                    let _ = results.send(ResultMsg::Out {
-                        seq,
-                        outcome: Outcome::Commit {
-                            tid: e.tid,
-                            vid: *commit_vid,
-                            lsn: e.lsn.get(),
-                        },
-                    });
-                }
-                RedoPayload::Abort => {
-                    let _ = results.send(ResultMsg::Out {
-                        seq,
-                        outcome: Outcome::Abort { tid: e.tid },
-                    });
-                }
-                RedoPayload::Ddl { version, op } => {
-                    match op {
-                        // CREATE applies here, synchronously: the reader
-                        // forwards entries in LSN order, so registering
-                        // the table runtime (and its column index)
-                        // *before* forwarding anything further
-                        // guarantees Phase 1 and the transaction buffers
-                        // never see a DML for an unknown table.
-                        DdlOp::CreateTable { schema, .. } => {
-                            match engine.apply_ddl(*version, op) {
-                                Ok(true) => {
-                                    if schema.has_column_index() {
-                                        store.create_index(schema);
-                                    }
-                                    metrics.ddls_applied.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Ok(false) => {} // replayed below our version
-                                Err(_) => {
-                                    errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            let _ = results.send(ResultMsg::Out {
-                                seq,
-                                outcome: Outcome::Noop,
-                            });
-                        }
-                        // DROP / ALTER are destructive: defer to the
-                        // collector's LSN-sorted drain, where every
-                        // earlier entry has finished Phase 1 and Phase 2
-                        // can be flushed.
-                        _ => {
-                            let _ = results.send(ResultMsg::Out {
-                                seq,
-                                outcome: Outcome::Ddl {
-                                    version: *version,
-                                    op: op.clone(),
-                                },
-                            });
-                        }
-                    }
-                }
-                // Ownership marker from a resumed writer: nothing to
-                // apply (fencing lives in shared storage); keep the
-                // drain sequence contiguous.
-                RedoPayload::EpochBump { .. } => {
-                    let _ = results.send(ResultMsg::Out {
-                        seq,
-                        outcome: Outcome::Noop,
-                    });
-                }
-                _ => {
-                    let w = (fx_hash_u64(e.page_id.get()) % n1) as usize;
-                    let _ = p1[w].send(P1Msg::Entry(Box::new(e), seq));
-                }
-            }
-            seq += 1;
-        }
+/// One read of the log: at most [`READ_BATCH_BYTES`] while tailing, the
+/// whole rest of the log while draining.
+fn read_batch(
+    fs: &PolarFs,
+    cfg: &ReplicationConfig,
+    reader: &mut LogReader,
+    draining: bool,
+) -> Vec<(imci_wal::RedoEntry, u64)> {
+    // Promotion drain: the old writer is epoch-fenced, so the log is
+    // static — consume it to the very end (even past the durable point
+    // in OnCommit mode: the resumed writer appends after the physical
+    // tail, so every byte before it must be accounted for).
+    if draining {
+        return reader.read_frames_until(u64::MAX);
     }
-    offset.store(reader.offset(), Ordering::SeqCst);
-    for tx in &p1 {
-        let _ = tx.send(P1Msg::Shutdown);
-    }
-    let _ = results.send(ResultMsg::Done);
-}
-
-fn phase1_worker(
-    rx: Receiver<P1Msg>,
-    engine: Arc<RowEngine>,
-    out: Sender<ResultMsg>,
-    errors: Arc<AtomicU64>,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            P1Msg::Entry(e, seq) => {
-                let outcome = match apply_entry(&engine, &e) {
-                    Ok(Some(change)) => Outcome::Dml(Box::new(change)),
-                    Ok(None) => Outcome::Noop,
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        Outcome::Noop
-                    }
-                };
-                let _ = out.send(ResultMsg::Out { seq, outcome });
-            }
-            P1Msg::Shutdown => break,
-        }
-    }
-    let _ = out.send(ResultMsg::Done);
-}
-
-/// Send a flush barrier to the dispatcher and wait for the ack: on
-/// return, every op dispatched so far has been applied to the column
-/// store and the watermark published.
-fn flush_phase2(disp: &Sender<DispatchMsg>, flush_ack: &Receiver<()>) {
-    if disp.send(DispatchMsg::Flush).is_ok() {
-        let _ = flush_ack.recv();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collector_thread(
-    rx: Receiver<ResultMsg>,
-    disp: Sender<DispatchMsg>,
-    flush_ack: Receiver<()>,
-    engine: Arc<RowEngine>,
-    store: Arc<ColumnStore>,
-    metrics: Arc<ReplicationMetrics>,
-    errors: Arc<AtomicU64>,
-    inflight_undo: Arc<parking_lot::Mutex<InflightUndo>>,
-    large_txn_threshold: usize,
-    mut done_markers: usize,
-) {
-    let mut reorder: BTreeMap<u64, Outcome> = BTreeMap::new();
-    let mut next_seq = 0u64;
-    let mut bufs = TxnBuffers::new(large_txn_threshold);
-    while done_markers > 0 {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        match msg {
-            ResultMsg::Done => {
-                done_markers -= 1;
-            }
-            ResultMsg::Out { seq, outcome } => {
-                reorder.insert(seq, outcome);
-            }
-        }
-        // Drain the contiguous prefix in log order (the §5.4 LSN sort).
-        while let Some(outcome) = reorder.remove(&next_seq) {
-            next_seq += 1;
-            match outcome {
-                Outcome::Noop => {}
-                Outcome::Dml(change) => {
-                    metrics.dmls_extracted.fetch_add(1, Ordering::Relaxed);
-                    // Row-side mirror of the §5.1 transaction buffers:
-                    // keep the inverse of every applied-but-undecided
-                    // DML so a promotion can roll the row replica back
-                    // to the committed prefix. Freed at commit/abort.
-                    // Memory: one cloned pre-image per undecided DML —
-                    // deliberately unbounded like the pre-images
-                    // themselves (they cannot be re-derived from the
-                    // log later; updates ship diffs), duplicating the
-                    // column-side buffers for the in-flight window.
-                    inflight_undo
-                        .lock()
-                        .entry(change.tid)
-                        .or_default()
-                        .push((next_seq - 1, change.undo()));
-                    // No lazy table pickup here: the table's DDL record
-                    // precedes its first DML in the drain, so the column
-                    // index (if declared) already exists.
-                    if bufs.add_dml(*change, &store).is_err() {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    metrics.precommits.store(bufs.precommits, Ordering::Relaxed);
-                }
-                Outcome::Ddl { version, op } => {
-                    // At this drain position every earlier entry has
-                    // completed Phase 1 (contiguous-prefix guarantee);
-                    // flushing Phase 2 quiesces the column store, so the
-                    // catalog change cannot race any in-flight apply.
-                    flush_phase2(&disp, &flush_ack);
-                    match engine.apply_ddl(version, &op) {
-                        Ok(true) => {
-                            metrics.ddls_applied.fetch_add(1, Ordering::Relaxed);
-                            // Rebuilt ALTER rows become visible at the
-                            // current watermark, with the rest of the
-                            // already-applied state.
-                            if apply_column_ddl(&op, &engine, &store, Vid(metrics.visible_vid()))
-                                .is_err()
-                            {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Ok(false) => {}
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Outcome::Commit { tid, vid, lsn } => {
-                    inflight_undo.lock().remove(&tid);
-                    if let Some(txn) = bufs.commit(tid, vid, imci_common::Lsn(lsn)) {
-                        let _ = disp.send(DispatchMsg::Txn(txn));
-                    } else {
-                        // Transaction with no column-indexed DMLs: still
-                        // advances the applied watermarks via an empty txn.
-                        let _ = disp.send(DispatchMsg::Txn(CommittedTxn {
-                            tid,
-                            vid,
-                            commit_lsn: imci_common::Lsn(lsn),
-                            ops: Vec::new(),
-                        }));
-                    }
-                }
-                Outcome::Abort { tid } => {
-                    metrics.txns_aborted.fetch_add(1, Ordering::Relaxed);
-                    inflight_undo.lock().remove(&tid);
-                    bufs.abort(tid);
-                }
-            }
-        }
-    }
-    let _ = disp.send(DispatchMsg::Shutdown);
-}
-
-/// Column-store side of an applied DDL record — shared by the
-/// collector drain (Phase 2 quiesced first) and the single-threaded
-/// [`crate::replay()`]. `stamp` is the VID rebuilt
-/// ALTER rows are made visible at (the caller's current commit point).
-pub(crate) fn apply_column_ddl(
-    op: &DdlOp,
-    engine: &RowEngine,
-    store: &ColumnStore,
-    stamp: Vid,
-) -> Result<()> {
-    match op {
-        // Normally applied by the reader; kept for completeness (e.g.
-        // a future path that routes creates through the drain).
-        DdlOp::CreateTable { schema, .. } => {
-            if schema.has_column_index() {
-                store.create_index(schema);
-            }
-        }
-        DdlOp::DropTable { table_id, .. } => {
-            store.remove_index(*table_id);
-        }
-        DdlOp::ReplaceSchema { schema } => {
-            if schema.has_column_index() {
-                // Rebuild from the local row replica, which replay has
-                // brought up to this record's LSN.
-                let mut rows = Vec::new();
-                engine.scan(&schema.name, i64::MIN, i64::MAX, |_, row| {
-                    rows.push(row.values);
-                })?;
-                let idx = imci_core::build_from_rows(
-                    schema,
-                    store.group_capacity(),
-                    stamp,
-                    rows.into_iter(),
-                )?;
-                store.install(idx);
+    match cfg.ship_mode {
+        ShipMode::CommitAhead => reader.wait_and_read(cfg.poll_interval, READ_BATCH_BYTES),
+        // OnCommit strawman: cap reads at the durable commit point.
+        ShipMode::OnCommit => {
+            let cap = fs.synced_len(REDO_LOG_NAME);
+            if reader.offset() >= cap {
+                std::thread::sleep(cfg.poll_interval);
+                Vec::new()
             } else {
-                store.remove_index(schema.table_id);
+                reader.read_frames_until(cap)
             }
         }
-    }
-    Ok(())
-}
-
-fn dispatcher_thread(
-    rx: Receiver<DispatchMsg>,
-    p2: Vec<Sender<P2Msg>>,
-    acks: Receiver<()>,
-    store: Arc<ColumnStore>,
-    metrics: Arc<ReplicationMetrics>,
-    batch_txns: usize,
-    flush_done: Sender<()>,
-) {
-    let n2 = p2.len() as u64;
-    let mut shutdown = false;
-    while !shutdown {
-        // Collect a batch: block for the first txn, then drain greedily.
-        let mut batch: Vec<CommittedTxn> = Vec::with_capacity(batch_txns);
-        let mut flush_after = false;
-        match rx.recv() {
-            Ok(DispatchMsg::Txn(t)) => batch.push(t),
-            // Between batches everything dispatched so far is applied
-            // (each batch ends on a worker barrier): ack immediately.
-            Ok(DispatchMsg::Flush) => {
-                let _ = flush_done.send(());
-                continue;
-            }
-            Ok(DispatchMsg::Shutdown) | Err(_) => break,
-        }
-        while batch.len() < batch_txns {
-            match rx.try_recv() {
-                Ok(DispatchMsg::Txn(t)) => batch.push(t),
-                Ok(DispatchMsg::Flush) => {
-                    flush_after = true;
-                    break;
-                }
-                Ok(DispatchMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        let max_vid = batch.iter().map(|t| t.vid.get()).max().unwrap_or(0);
-        let last_lsn = batch.iter().map(|t| t.commit_lsn.get()).max().unwrap_or(0);
-        let n_txns = batch.len() as u64;
-        // Row-by-row dispatch in commit order (§5.4).
-        for txn in batch {
-            for op in txn.ops {
-                let w = (fx_hash_u64(op.pk() as u64) % n2) as usize;
-                let _ = p2[w].send(P2Msg::Op { vid: txn.vid, op });
-            }
-        }
-        // Batch commit: barrier, then publish the new watermarks.
-        for tx in &p2 {
-            let _ = tx.send(P2Msg::Barrier);
-        }
-        for _ in 0..p2.len() {
-            let _ = acks.recv();
-        }
-        store.advance_all(Vid(max_vid));
-        metrics.visible_vid.fetch_max(max_vid, Ordering::SeqCst);
-        metrics.advance_applied(last_lsn);
-        metrics.txns_committed.fetch_add(n_txns, Ordering::Relaxed);
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        if flush_after {
-            let _ = flush_done.send(());
-        }
-    }
-    for tx in &p2 {
-        let _ = tx.send(P2Msg::Shutdown);
     }
 }
 
-fn phase2_worker(
-    rx: Receiver<P2Msg>,
-    store: Arc<ColumnStore>,
-    ack: Sender<()>,
-    errors: Arc<AtomicU64>,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            P2Msg::Op { vid, op } => {
-                if apply_txn_op(&store, vid, &op).is_err() {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            P2Msg::Barrier => {
-                let _ = ack.send(());
-            }
-            P2Msg::Shutdown => break,
-        }
-    }
+/// Publish one applied read batch: counters, then the visible VID, then
+/// the applied LSN last — it wakes strong readers, and the step has
+/// already advanced the column store they will read.
+fn publish(m: &ReplicationMetrics, errors: &AtomicU64, applier: &Applier, fanned_out: bool) {
+    let c = applier.counts();
+    let pos = applier.position();
+    m.entries_read.store(c.entries, Ordering::Relaxed);
+    m.dmls_extracted.store(c.dmls, Ordering::Relaxed);
+    m.txns_committed.store(c.committed, Ordering::Relaxed);
+    m.txns_aborted.store(c.aborted, Ordering::Relaxed);
+    m.ddls_applied.store(c.ddls, Ordering::Relaxed);
+    m.precommits.store(applier.precommits(), Ordering::Relaxed);
+    errors.store(c.errors, Ordering::Relaxed);
+    m.batches.fetch_add(1, Ordering::Relaxed);
+    let path = if fanned_out {
+        &m.fanout_batches
+    } else {
+        &m.inline_batches
+    };
+    path.fetch_add(1, Ordering::Relaxed);
+    m.read_lsn.fetch_max(pos.last_lsn, Ordering::SeqCst);
+    m.max_tid.fetch_max(pos.max_tid, Ordering::SeqCst);
+    m.visible_vid.fetch_max(pos.max_vid, Ordering::SeqCst);
+    m.advance_applied(pos.applied_lsn);
 }
 
 #[cfg(test)]
@@ -891,43 +430,44 @@ mod tests {
     fn concurrent_same_row_updates_stay_ordered() {
         // The Fig. 6 scenario: different transactions update the same
         // row; PK-hash dispatch must serialize them in commit order.
+        // The whole log is written before the pipeline starts, so its
+        // first read batch is large enough to fan out.
         let (fs, rw) = setup();
+        let row = |pk: i64, v: i64| vec![Value::Int(pk), Value::Int(v), Value::Null];
+        let mut txn = rw.begin();
+        for pk in 1..=8 {
+            rw.insert(&mut txn, "t", row(pk, 0)).unwrap();
+        }
+        rw.commit(txn).unwrap();
+        let n = FANOUT_MIN_DMLS as i64 + 100;
+        for i in 1..=n {
+            let mut txn = rw.begin();
+            rw.update(&mut txn, "t", 1, row(1, i)).unwrap();
+            rw.update(&mut txn, "t", 2 + i % 7, row(2 + i % 7, i))
+                .unwrap();
+            rw.commit(txn).unwrap();
+        }
         let (pipe, store) = start_ro(
             &fs,
             ReplicationConfig {
-                phase1_workers: 4,
-                phase2_workers: 4,
-                batch_txns: 8,
+                parallelism: 4,
                 ..ReplicationConfig::default()
             },
         );
-        let mut txn = rw.begin();
-        rw.insert(
-            &mut txn,
-            "t",
-            vec![Value::Int(1), Value::Int(0), Value::Null],
-        )
-        .unwrap();
-        rw.commit(txn).unwrap();
-        for i in 1..=200i64 {
-            let mut txn = rw.begin();
-            rw.update(
-                &mut txn,
-                "t",
-                1,
-                vec![Value::Int(1), Value::Int(i), Value::Null],
-            )
-            .unwrap();
-            rw.commit(txn).unwrap();
-        }
         let target = rw.log().unwrap().written_lsn().get();
         assert!(pipe.wait_applied(target, Duration::from_secs(20)));
+        assert!(pipe.metrics().fanout_batches.load(Ordering::Relaxed) >= 1);
         let idx = store.index(imci_common::TableId(1)).unwrap();
+        let snap = idx.snapshot();
         assert_eq!(
-            idx.snapshot().get_by_pk(1).unwrap()[1],
-            Value::Int(200),
+            snap.get_by_pk(1).unwrap()[1],
+            Value::Int(n),
             "final version must be the last committed"
         );
+        for pk in 2..9i64 {
+            let last = (1..=n).rev().find(|i| 2 + i % 7 == pk).unwrap();
+            assert_eq!(snap.get_by_pk(pk).unwrap()[1], Value::Int(last));
+        }
         assert_eq!(pipe.error_count(), 0);
         pipe.stop();
     }
@@ -1107,7 +647,7 @@ mod tests {
 
         // Fence the writer (the failover precondition), then drain.
         fs.bump_epoch();
-        let state = pipe.stop_after_drain();
+        let state = pipe.stop_after_drain().unwrap();
         assert_eq!(state.inflight.len(), 2, "insert + update undecided");
         assert_eq!(state.inflight[1].0, open.tid, "one transaction in flight");
         assert_eq!(state.inflight[0].0, open.tid);
@@ -1175,7 +715,7 @@ mod tests {
         assert!(pipe.wait_applied(written, Duration::ZERO));
         // Promote immediately: zero suffix entries read.
         fs.bump_epoch();
-        let promo = pipe.stop_after_drain().position;
+        let promo = pipe.stop_after_drain().unwrap().position;
         assert_eq!(promo.last_lsn, tail, "prefix LSNs must be covered");
         assert_eq!(promo.applied_lsn, written);
         assert_eq!(promo.max_vid, last_vid);

@@ -26,13 +26,13 @@
 //! skips row-store replay too (the production system reads versioned
 //! pages from PolarFS instead; DESIGN.md documents the substitution).
 
-use crate::buffer::{apply_txn_op, TxnBuffers};
+use crate::apply::Applier;
 use bytes::Bytes;
-use imci_common::{FxHashMap, FxHashSet, Result, Tid, Vid, SYSTEM_TID};
+use imci_common::{FxHashSet, Result, Tid, SYSTEM_TID};
 use imci_core::{ColumnStore, LogPosition};
-use imci_wal::{LogReader, LogWriter, PropagationMode, RedoEntry, RedoPayload, REDO_LOG_NAME};
+use imci_wal::{LogReader, LogWriter, PropagationMode, RedoEntry, REDO_LOG_NAME};
 use polarfs_sim::PolarFs;
-use rowstore::{apply_entry, RowEngine, UndoOp};
+use rowstore::{RowEngine, UndoOp};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -93,27 +93,18 @@ pub struct RecoveryReport {
     pub last_lsn: u64,
 }
 
-/// Row-side undo buffers of applied-but-undecided DMLs, keyed by
-/// transaction, each op stamped with its position in log order.
-pub(crate) type InflightUndo = FxHashMap<Tid, Vec<(u64, UndoOp)>>;
-
-/// Flatten [`InflightUndo`] into one list in original log order, ready
-/// for [`RowEngine::rollback_inflight`].
-pub(crate) fn order_inflight(inflight: InflightUndo) -> Vec<(Tid, UndoOp)> {
-    let mut flat: Vec<(Tid, u64, UndoOp)> = inflight
-        .into_iter()
-        .flat_map(|(tid, ops)| ops.into_iter().map(move |(s, op)| (tid, s, op)))
-        .collect();
-    flat.sort_by_key(|(_, s, _)| *s);
-    flat.into_iter().map(|(tid, _, op)| (tid, op)).collect()
-}
-
 /// Build the starting state: the newest complete checkpoint's catalog,
 /// row pages (plus the secondary indexes and row counters derived from
 /// them), column indexes and position — or an empty state at offset 0
 /// when there is no checkpoint, whose catalog the log's DDL records
 /// then build. A checkpoint that cannot be loaded is an error.
 pub fn seed(fs: &PolarFs, group_cap: usize) -> Result<ReplicaState> {
+    seed_formats(fs, group_cap, true)
+}
+
+/// [`seed`], loading the checkpoint's column indexes only when
+/// `columns` is set (a recovering writer is row-only).
+fn seed_formats(fs: &PolarFs, group_cap: usize, columns: bool) -> Result<ReplicaState> {
     // An effectively unbounded pool: `apply_entry` never falls back to
     // shared storage, so every replayed page must stay resident — on a
     // recovered writer too.
@@ -132,7 +123,7 @@ pub fn seed(fs: &PolarFs, group_cap: usize) -> Result<ReplicaState> {
             rt.rebuild_secondaries()?;
             rt.row_counter
                 .store(rt.tree.count()? as u64, Ordering::SeqCst);
-            if rt.schema.has_column_index() {
+            if columns && rt.schema.has_column_index() {
                 store.install(imci_core::load_index(fs, seq, &rt.schema, group_cap)?);
             }
         }
@@ -146,72 +137,47 @@ pub fn seed(fs: &PolarFs, group_cap: usize) -> Result<ReplicaState> {
 }
 
 /// Apply REDO from `state.position` to `stop`, to both formats, and
-/// advance the position. The one function outside the live pipeline
-/// that applies REDO entries.
+/// advance the position. Runs the live pipeline's apply step on the
+/// calling thread alone.
 pub fn replay(fs: &PolarFs, state: &mut ReplicaState, stop: Stop) -> Result<Replayed> {
+    replay_into(
+        fs,
+        &state.engine,
+        Some(&state.store),
+        &mut state.position,
+        stop,
+    )
+}
+
+/// [`replay`] into `engine` and, when given, `store`.
+fn replay_into(
+    fs: &PolarFs,
+    engine: &RowEngine,
+    store: Option<&ColumnStore>,
+    position: &mut LogPosition,
+    stop: Stop,
+) -> Result<Replayed> {
     let cap = match stop {
         Stop::LogEnd => fs.log_len(REDO_LOG_NAME),
         Stop::Boundary(cap) => cap,
     };
-    let mut frames = LogReader::new(fs.clone(), state.position.offset).read_frames_until(cap);
+    let mut frames = LogReader::new(fs.clone(), position.offset).read_frames_until(cap);
     if let Stop::Boundary(_) = stop {
         frames.truncate(boundary_prefix(&frames));
     }
-    let ReplicaState {
-        engine,
-        store,
-        position: pos,
-        ..
-    } = state;
     // Single-threaded replay never needs the §5.5 pre-commit path.
-    let mut bufs = TxnBuffers::new(usize::MAX);
-    let mut inflight = InflightUndo::default();
-    let mut committed_txns = 0u64;
-    for (seq, (e, end)) in frames.iter().enumerate() {
-        match &e.payload {
-            RedoPayload::Commit { commit_vid } => {
-                inflight.remove(&e.tid);
-                if let Some(txn) = bufs.commit(e.tid, *commit_vid, e.lsn) {
-                    for op in &txn.ops {
-                        apply_txn_op(store, txn.vid, op)?;
-                    }
-                }
-                store.advance_all(*commit_vid);
-                pos.max_vid = pos.max_vid.max(commit_vid.get());
-                pos.applied_lsn = e.lsn.get();
-                committed_txns += 1;
-            }
-            RedoPayload::Abort => {
-                // The abort's SYSTEM_TID compensation entries replay
-                // like any page change; only the undo list is left.
-                inflight.remove(&e.tid);
-                bufs.abort(e.tid);
-            }
-            // Nothing else is in flight in the column store here, so
-            // both sides of a DDL record apply at once, in LSN order.
-            RedoPayload::Ddl { version, op } => {
-                if engine.apply_ddl(*version, op)? {
-                    crate::pipeline::apply_column_ddl(op, engine, store, Vid(pos.max_vid))?;
-                }
-            }
-            _ => {
-                if let Some(change) = apply_entry(engine, e)? {
-                    inflight
-                        .entry(change.tid)
-                        .or_default()
-                        .push((seq as u64, change.undo()));
-                    bufs.add_dml(change, store)?;
-                }
-            }
-        }
-        pos.offset = *end;
-        pos.last_lsn = pos.last_lsn.max(e.lsn.get());
-        pos.max_tid = pos.max_tid.max(e.tid.get());
+    let mut applier = Applier::new(engine, store, usize::MAX, *position);
+    applier.apply(&frames, 1);
+    if let Some(e) = applier.take_error() {
+        return Err(e);
     }
+    let committed_txns = applier.counts().committed;
+    let (inflight, end) = applier.finish();
+    *position = end;
     Ok(Replayed {
         entries: frames.len(),
         committed_txns,
-        inflight: order_inflight(inflight),
+        inflight,
     })
 }
 
@@ -264,15 +230,17 @@ pub fn promote(
 
 /// Rebuild a writer after an RW crash: fence the old writer by bumping
 /// the volume epoch (from here the log tail cannot move), seed from the
-/// newest checkpoint, replay to the log's end, then [`promote`].
+/// newest checkpoint, replay to the log's end, then [`promote`]. The
+/// recovered writer is row-only, so the seed and the replay leave the
+/// column indexes out.
 pub fn recover_writer(
     fs: &PolarFs,
     mode: PropagationMode,
     group_cap: usize,
 ) -> Result<(Arc<RowEngine>, RecoveryReport)> {
     let epoch = fs.bump_epoch();
-    let mut state = seed(fs, group_cap)?;
-    let replayed = replay(fs, &mut state, Stop::LogEnd)?;
+    let mut state = seed_formats(fs, group_cap, false)?;
+    let replayed = replay_into(fs, &state.engine, None, &mut state.position, Stop::LogEnd)?;
     let rolled_back_txns = promote(fs, mode, &state.engine, &state.position, &replayed.inflight)?;
     let report = RecoveryReport {
         epoch,

@@ -110,19 +110,18 @@ fn local_page(
 /// The creating record always carries a lower LSN than the pointer, so
 /// by the time any worker gets here it is already queued (or applied) at
 /// its own page's worker: the wait is short and, because every wait
-/// targets a strictly earlier record, cycle-free. The deadline only
-/// trips on a corrupt log, where the creation record never existed.
+/// targets a strictly earlier record, cycle-free. It parks on the pool's
+/// install condvar rather than polling the frame map the applying
+/// worker needs. The deadline only trips on a corrupt log, where the
+/// creation record never existed.
 fn await_page_birth(bp: &BufferPool, id: imci_common::PageId) -> Result<()> {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while bp.get_local(id).is_none() {
-        if std::time::Instant::now() >= deadline {
-            return Err(Error::Replication(format!(
-                "replay references page {id} before its creation record"
-            )));
-        }
-        std::thread::yield_now();
+    if bp.wait_local(id, std::time::Duration::from_secs(5)) {
+        Ok(())
+    } else {
+        Err(Error::Replication(format!(
+            "replay references page {id} before its creation record"
+        )))
     }
-    Ok(())
 }
 
 /// Apply one REDO entry to the node-local pages; returns the extracted

@@ -43,11 +43,10 @@ pub struct RowEngine {
     /// snapshots.
     catalog_version: AtomicU64,
     /// Replica replay bookkeeping: last applied DDL version **per
-    /// table**. The idempotency gate must be per-table, not the global
-    /// scalar: the pipeline applies creates in the reader but defers
-    /// drops/alters to the collector drain, so a create for table B can
-    /// legitimately apply *before* an earlier-versioned drop of table A
-    /// — a global gate would silently mask the drop.
+    /// table**. The idempotency gate is per-table, not the global
+    /// scalar, so a record is skipped only when its own table has
+    /// already seen that version: applying a later-versioned record of
+    /// table B never masks an earlier-versioned one of table A.
     ddl_versions: RwLock<FxHashMap<TableId, u64>>,
     /// Serializes DDL so that catalog-version order equals log order.
     ddl_lock: Mutex<()>,
@@ -296,10 +295,8 @@ impl RowEngine {
     /// Returns `false` — without touching anything — when `version` is
     /// not newer than the last version applied **for that table**,
     /// making replay idempotent (checkpoint catalogs embed their
-    /// version). The gate is per-table because the pipeline applies
-    /// creates in the reader but drops/alters in the collector drain:
-    /// a later-versioned create of table B must not mask an
-    /// earlier-versioned, still-undrained drop of table A.
+    /// version). The gate is per-table: a later-versioned create of
+    /// table B must not mask an earlier-versioned drop of table A.
     pub fn apply_ddl(&self, version: u64, op: &DdlOp) -> Result<bool> {
         let _ddl = self.ddl_lock.lock();
         let gate_id = op.table_id();
@@ -949,10 +946,8 @@ mod tests {
 
     #[test]
     fn ddl_version_gate_is_per_table() {
-        // The pipeline applies creates in the reader but drops in the
-        // collector drain, so a later-versioned create can reach
-        // apply_ddl *before* an earlier-versioned drop of a different
-        // table. The gate must not mask the drop.
+        // A later-versioned create applied *before* an earlier-versioned
+        // drop of a different table must not mask the drop.
         let fs = PolarFs::instant();
         let ro = RowEngine::new_replica(fs, 4096);
         let (cols, idxs) = demo_columns();

@@ -60,17 +60,10 @@ impl LogReader {
     }
 
     /// Read and decode entries, but never consume bytes at or beyond
-    /// offset `cap`. Used by the OnCommit (non-CALS) strawman, which
-    /// must not see log entries that are not yet durable.
-    pub fn read_until(&mut self, cap: u64) -> Vec<RedoEntry> {
-        self.read_frames_until(cap)
-            .into_iter()
-            .map(|(e, _)| e)
-            .collect()
-    }
-
-    /// [`LogReader::read_until`], with each entry paired with the byte
-    /// offset just past its frame — the offsets replay may stop at.
+    /// offset `cap`, each paired with the byte offset just past its
+    /// frame — the offsets replay may stop at. The OnCommit (non-CALS)
+    /// strawman caps at the durable length, so it never sees entries
+    /// that are not yet durable.
     pub fn read_frames_until(&mut self, cap: u64) -> Vec<(RedoEntry, u64)> {
         let mut out = Vec::new();
         while self.offset < cap {
@@ -93,14 +86,11 @@ impl LogReader {
         out
     }
 
-    /// Block (up to `timeout`) for new log data, then decode it.
-    pub fn wait_and_read(&mut self, timeout: Duration) -> Vec<RedoEntry> {
-        let have = self.read_available();
-        if !have.is_empty() {
-            return have;
-        }
+    /// Block (up to `timeout`) for new log data, then decode at most
+    /// `max_bytes` of it, as [`LogReader::read_frames_until`] does.
+    pub fn wait_and_read(&mut self, timeout: Duration, max_bytes: u64) -> Vec<(RedoEntry, u64)> {
         self.fs.wait_for_growth(REDO_LOG_NAME, self.offset, timeout);
-        self.read_available()
+        self.read_frames_until(self.offset.saturating_add(max_bytes))
     }
 }
 
