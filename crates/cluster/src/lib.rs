@@ -190,10 +190,10 @@ impl Heartbeat {
             .spawn(move || {
                 let (lock, cv) = &*stop2;
                 let mut stopped = lock.lock();
-                if !alive {
-                    return;
-                }
-                loop {
+                // Check the flag before each wait: a drop that lands
+                // before this thread first takes the lock has already
+                // notified, and must not cost a whole interval.
+                while alive && !*stopped {
                     let _ = cv.wait_for(&mut stopped, interval);
                     if *stopped || fs.heartbeat(epoch).is_err() {
                         return;
@@ -1126,10 +1126,6 @@ mod tests {
     fn small_cluster() -> Arc<Cluster> {
         Cluster::start(ClusterConfig {
             group_cap: 64,
-            replication: ReplicationConfig {
-                parallelism: 4,
-                ..Default::default()
-            },
             ..Default::default()
         })
     }

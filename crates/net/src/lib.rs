@@ -212,7 +212,7 @@ pub struct ServiceStats {
 pub struct NetServer<P: Proto> {
     shared: Arc<Shared<P>>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<Vec<SocketAddr>>>,
     /// Clone of the acceptor's listener (same open file description),
     /// kept so shutdown can flip it nonblocking if the self-connect
     /// wake fails — see [`NetServer::shutdown`].
@@ -328,17 +328,17 @@ impl<P: Proto> NetServer<P> {
         // clone shares the open file description, so once any queued
         // connection (or spurious readiness) returns, every later
         // accept yields WouldBlock and the loop sees the stop flag.
-        let mut woke = false;
+        let mut woke = None;
         for attempt in 0..3 {
             if attempt > 0 {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            if TcpStream::connect(self.local_addr).is_ok() {
-                woke = true;
+            if let Ok(wake) = TcpStream::connect(self.local_addr) {
+                woke = wake.local_addr().ok();
                 break;
             }
         }
-        if !woke {
+        if woke.is_none() {
             if let Some(l) = &self.wake_listener {
                 let _ = l.set_nonblocking(true);
             }
@@ -352,7 +352,14 @@ impl<P: Proto> NetServer<P> {
                 std::thread::sleep(Duration::from_millis(2));
             }
             if h.is_finished() {
-                let _ = h.join();
+                // Sessions still in the backlog got the goodbye; the
+                // wake connection is not a session.
+                let greeted = h.join().unwrap_or_default();
+                let sessions = greeted.iter().filter(|&&peer| Some(peer) != woke);
+                shared
+                    .stats
+                    .drained
+                    .fetch_add(sessions.count() as u64, Ordering::SeqCst);
             }
         }
 
@@ -677,9 +684,7 @@ mod tests {
         assert_eq!(rest, "");
         let srv = handle.join().unwrap();
         assert_eq!(srv.stats().active_sessions.load(Ordering::SeqCst), 0);
-        // The session, plus the throwaway connection shutdown makes to
-        // wake the acceptor: it too gets the goodbye from the backlog.
-        assert_eq!(srv.stats().drained.load(Ordering::SeqCst), 2);
+        assert_eq!(srv.stats().drained.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -711,7 +716,7 @@ mod tests {
             assert_eq!(rest, "");
         }
         let srv = shutter.join().unwrap();
-        assert!(srv.stats().drained.load(Ordering::SeqCst) >= 4);
+        assert_eq!(srv.stats().drained.load(Ordering::SeqCst), 4);
     }
 
     #[test]

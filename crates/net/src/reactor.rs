@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,9 +102,16 @@ impl<P: Proto> ReactorShared<P> {
 // Acceptor
 // ---------------------------------------------------------------------------
 
-pub(crate) fn acceptor_loop<P: Proto>(shared: Arc<Shared<P>>, listener: TcpListener) {
+/// Accept connections until `stop_accept`; then say the drain goodbye to
+/// every connection still waiting and return their peer addresses (the
+/// caller tells its own wake connection apart from client sessions).
+pub(crate) fn acceptor_loop<P: Proto>(
+    shared: Arc<Shared<P>>,
+    listener: TcpListener,
+) -> Vec<SocketAddr> {
     let mut next = 0usize;
-    for incoming in listener.incoming() {
+    loop {
+        let incoming = listener.accept().map(|(s, _)| s);
         if shared.stop_accept.load(Ordering::SeqCst) {
             // The kernel already completed the handshake of this
             // connection and of every one still in the backlog: each
@@ -124,13 +131,14 @@ pub(crate) fn acceptor_loop<P: Proto>(shared: Arc<Shared<P>>, listener: TcpListe
                     .then(|| listener.accept().ok().map(|(s, _)| s))
                     .flatten()
             });
+            let mut greeted = Vec::new();
             for mut s in incoming.ok().into_iter().chain(backlog) {
                 let _ = s.set_nodelay(true);
                 let _ = s.write_all(&goodbye);
                 let _ = s.shutdown(Shutdown::Both);
-                shared.stats.drained.fetch_add(1, Ordering::SeqCst);
+                greeted.extend(s.peer_addr());
             }
-            break;
+            return greeted;
         }
         let stream = match incoming {
             Ok(s) => s,

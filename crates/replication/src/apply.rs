@@ -9,39 +9,27 @@
 //!
 //! The frames are cut into segments at DDL records (and every
 //! [`SEGMENT_MAX`] entries, which bounds the memory of a long catch-up).
-//! A segment runs in three steps, each finished before the next starts:
+//! A segment runs in two steps:
 //!
-//! 1. Phase 1 over the segment's page entries;
-//! 2. one walk in LSN order on the calling thread: DMLs go into the
-//!    transaction buffers (a pre-commit writes invisible rows here),
-//!    commit records release their transactions, aborts drop theirs;
-//! 3. Phase 2 over the released transactions' ops.
+//! 1. one walk in LSN order: Phase 1 applies each page entry, its DML
+//!    goes into the transaction buffers (a pre-commit writes invisible
+//!    rows here), commit records release their transactions, aborts
+//!    drop theirs;
+//! 2. Phase 2 over the released transactions' ops, in commit order,
+//!    then the column indexes advance to the last commit.
 //!
-//! The DDL record that ends a segment then applies on the calling
-//! thread with nothing in flight: every earlier entry has passed both
-//! phases, so a DROP or an ALTER rebuild cannot race an apply.
+//! The DDL record that ends a segment then applies with nothing in
+//! flight: every earlier entry has passed both phases, so an ALTER
+//! rebuild reads a current row replica and a DROP leaves no op behind.
 //!
-//! Each phase runs on `workers` threads — the caller's plus
-//! `workers - 1` scoped ones — and joins before the walk (or the next
-//! segment) starts. One worker is the inline case: no thread is
-//! touched. Conflict freedom of a fanned-out segment:
-//!
-//! * Phase 1: the entries of one page hash to one worker, which applies
-//!   them in LSN order; different pages never conflict. A
-//!   pointer-bearing SMO waits for the page it points at
-//!   (`rowstore::apply::await_page_birth`); that page is born by a
-//!   strictly lower-LSN record of this segment or an earlier one, so
-//!   wait chains have decreasing LSNs and cannot cycle.
-//! * Phase 2: the ops of one primary key hash to one worker, which
-//!   applies them in commit order, so two updates of one row — even
-//!   from different transactions — land in order (the Fig. 6
-//!   example). Different keys never conflict.
-//! * The walk and DDL run between the joins, on the calling thread
-//!   alone, so the buffers, the pre-commit and catalog changes never
-//!   race a phase.
+//! Everything runs on the calling thread, in log order, so no step needs
+//! a conflict rule against another: a pointer-bearing SMO finds the page
+//! it points at already applied (a strictly lower-LSN record created
+//! it), and two updates of one row — even from different transactions —
+//! land in commit order (the Fig. 6 example).
 
 use crate::buffer::{apply_txn_op, CommittedTxn, TxnBuffers};
-use imci_common::{fx_hash_u64, DdlOp, Error, FxHashMap, Result, Tid, Vid};
+use imci_common::{DdlOp, Error, FxHashMap, Result, Tid, Vid};
 use imci_core::{ColumnStore, LogPosition};
 use imci_wal::{RedoEntry, RedoPayload};
 use rowstore::{apply_entry, LogicalChange, RowEngine, UndoOp};
@@ -132,10 +120,9 @@ impl<'a> Applier<'a> {
         (order_inflight(self.inflight), self.position)
     }
 
-    /// Apply `frames` (entry + byte offset just past it, in LSN order)
-    /// with each phase on `workers` threads; see the module docs.
-    pub fn apply(&mut self, frames: &[(RedoEntry, u64)], workers: usize) {
-        let workers = workers.max(1);
+    /// Apply `frames` (entry + byte offset just past it, in LSN order);
+    /// see the module docs.
+    pub fn apply(&mut self, frames: &[(RedoEntry, u64)]) {
         let mut rest = frames;
         while !rest.is_empty() {
             let cut = rest
@@ -144,7 +131,7 @@ impl<'a> Applier<'a> {
                 .position(|(e, _)| e.payload.is_ddl())
                 .unwrap_or_else(|| rest.len().min(SEGMENT_MAX));
             let (segment, tail) = rest.split_at(cut);
-            self.apply_segment(segment, workers);
+            self.apply_segment(segment);
             rest = tail;
             if let Some(((e, end), after)) = rest.split_first() {
                 if let RedoPayload::Ddl { version, op } = &e.payload {
@@ -156,11 +143,10 @@ impl<'a> Applier<'a> {
         }
     }
 
-    fn apply_segment(&mut self, segment: &[(RedoEntry, u64)], workers: usize) {
-        let mut changes = self.phase1(segment, workers);
+    fn apply_segment(&mut self, segment: &[(RedoEntry, u64)]) {
         let mut released: Vec<CommittedTxn> = Vec::new();
         let committed_before = self.counts.committed;
-        for ((e, end), change) in segment.iter().zip(changes.iter_mut()) {
+        for (e, end) in segment {
             match &e.payload {
                 RedoPayload::Commit { commit_vid } => {
                     self.inflight.remove(&e.tid);
@@ -178,51 +164,26 @@ impl<'a> Applier<'a> {
                     self.bufs.abort(e.tid);
                     self.counts.aborted += 1;
                 }
-                _ => {
-                    if let Some(change) = change.take() {
-                        self.add_dml(change);
-                    }
-                }
+                _ => match apply_entry(self.engine, e) {
+                    Ok(Some(change)) => self.add_dml(change),
+                    Ok(None) => {}
+                    Err(err) => self.fail(err),
+                },
             }
             self.advance(e, *end);
         }
         if let Some(store) = self.store {
-            for err in phase2(store, &released, workers) {
-                self.fail(err);
+            for txn in &released {
+                for op in &txn.ops {
+                    if let Err(e) = apply_txn_op(store, txn.vid, op) {
+                        self.fail(e);
+                    }
+                }
             }
             if self.counts.committed > committed_before {
                 store.advance_all(Vid(self.position.max_vid));
             }
         }
-    }
-
-    /// Phase 1 over `segment`'s page entries; the result is aligned with
-    /// `segment` (None for other entries and for page changes that
-    /// carry no user DML).
-    fn phase1(
-        &mut self,
-        segment: &[(RedoEntry, u64)],
-        workers: usize,
-    ) -> Vec<Option<LogicalChange>> {
-        let engine = self.engine;
-        let parts = fan_out(workers, |w| {
-            let mut out = Vec::new();
-            for (i, (e, _)) in segment.iter().enumerate() {
-                if !e.payload.is_decision() && owns(workers, w, e.page_id.get()) {
-                    out.push((i, apply_entry(engine, e)));
-                }
-            }
-            out
-        });
-        let mut changes: Vec<Option<LogicalChange>> = Vec::with_capacity(segment.len());
-        changes.resize_with(segment.len(), || None);
-        for (i, result) in parts.into_iter().flatten() {
-            match result {
-                Ok(change) => changes[i] = change,
-                Err(e) => self.fail(e),
-            }
-        }
-        changes
     }
 
     fn add_dml(&mut self, change: LogicalChange) {
@@ -274,54 +235,6 @@ impl<'a> Applier<'a> {
         self.counts.errors += 1;
         self.first_error.get_or_insert(e);
     }
-}
-
-/// Phase 2: apply the released transactions' ops, in commit order per
-/// primary key. Returns the errors.
-fn phase2(store: &ColumnStore, released: &[CommittedTxn], workers: usize) -> Vec<Error> {
-    if released.iter().all(|t| t.ops.is_empty()) {
-        return Vec::new();
-    }
-    fan_out(workers, |w| {
-        let mut errors = Vec::new();
-        for txn in released {
-            for op in txn.ops.iter().filter(|op| owns(workers, w, op.pk() as u64)) {
-                if let Err(e) = apply_txn_op(store, txn.vid, op) {
-                    errors.push(e);
-                }
-            }
-        }
-        errors
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Whether worker `w` of `workers` owns partition key `key`.
-fn owns(workers: usize, w: usize, key: u64) -> bool {
-    workers == 1 || fx_hash_u64(key) % workers as u64 == w as u64
-}
-
-/// Run `work(w)` for each worker `w < workers` — worker 0 on the
-/// calling thread, the others on scoped threads — and return the
-/// results once all have finished: the phase's join barrier.
-fn fan_out<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if workers <= 1 {
-        return vec![work(0)];
-    }
-    std::thread::scope(|s| {
-        let work = &work;
-        let others: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
-        let mut out = vec![work(0)];
-        for h in others {
-            match h.join() {
-                Ok(v) => out.push(v),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        out
-    })
 }
 
 /// Flatten [`InflightUndo`] into one list in original log order, ready

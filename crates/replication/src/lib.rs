@@ -13,9 +13,7 @@
 //!                records release transactions, aborts drop them
 //!      Phase 2   §4.2 DML on the column indexes
 //!      DDL       both formats, with nothing in flight
-//!      │  < FANOUT_MIN_DMLS DMLs: all inline on the reader;
-//!      │  more: each phase on `parallelism` workers, Phase 1 by
-//!      │  hash(page_id), Phase 2 by hash(primary key), joined per phase
+//!      │  all on the reader thread
 //!      ▼
 //!   publish: visible VID, then applied LSN (wakes strong readers)
 //! ```
@@ -26,8 +24,7 @@
 //! * [`mod@replay`] — rebuilding state from shared storage: the checkpoint
 //!   seed, replay (the same step on one thread), checkpointing, RW crash
 //!   recovery and the promotion step it shares with RO failover;
-//! * [`metrics`] — counters the benches report (applied LSN, VD inputs,
-//!   inline vs fanned-out batches).
+//! * [`metrics`] — counters the benches report (applied LSN, VD inputs).
 
 mod apply;
 pub mod buffer;
@@ -38,7 +35,7 @@ pub mod replay;
 pub use buffer::{CommittedTxn, TxnBuffers, TxnOp};
 pub use imci_core::LogPosition;
 pub use metrics::ReplicationMetrics;
-pub use pipeline::{Pipeline, ReplicationConfig, ShipMode, FANOUT_MIN_DMLS};
+pub use pipeline::{Pipeline, ReplicationConfig, ShipMode};
 pub use replay::{
     promote, recover_writer, replay, seed, take_checkpoint, RecoveryReport, Replayed, ReplicaState,
     Stop,

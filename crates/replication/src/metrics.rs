@@ -17,13 +17,8 @@ pub struct ReplicationMetrics {
     pub txns_committed: AtomicU64,
     /// Transactions dropped by abort records.
     pub txns_aborted: AtomicU64,
-    /// Read batches applied and published
-    /// (`inline_batches + fanout_batches`).
+    /// Read batches applied and published.
     pub batches: AtomicU64,
-    /// Read batches the reader applied itself.
-    pub inline_batches: AtomicU64,
-    /// Read batches whose phases fanned out to `parallelism` workers.
-    pub fanout_batches: AtomicU64,
     /// Large-transaction pre-commits (§5.5).
     pub precommits: AtomicU64,
     /// DDL log records applied to this node's catalog (versioned
@@ -95,14 +90,12 @@ impl ReplicationMetrics {
     /// One-line summary for bench output.
     pub fn summary(&self) -> String {
         format!(
-            "entries={} dmls={} committed={} aborted={} batches={} inline={} fanout={} precommits={} ddls={} read_lsn={} applied_lsn={}",
+            "entries={} dmls={} committed={} aborted={} batches={} precommits={} ddls={} read_lsn={} applied_lsn={}",
             self.entries_read.load(Ordering::Relaxed),
             self.dmls_extracted.load(Ordering::Relaxed),
             self.txns_committed.load(Ordering::Relaxed),
             self.txns_aborted.load(Ordering::Relaxed),
             self.batches.load(Ordering::Relaxed),
-            self.inline_batches.load(Ordering::Relaxed),
-            self.fanout_batches.load(Ordering::Relaxed),
             self.precommits.load(Ordering::Relaxed),
             self.ddls_applied.load(Ordering::Relaxed),
             self.read_lsn(),

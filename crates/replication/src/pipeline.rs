@@ -7,14 +7,12 @@
 //! batch: counters, then the visible VID, then the applied LSN, which
 //! wakes strong readers.
 //!
-//! A batch with fewer than [`FANOUT_MIN_DMLS`] DML entries is applied
-//! inline on the reader: a one-transaction commit crosses no thread
-//! handoff between the log and the watermark. A larger batch runs each
-//! phase on `parallelism` workers (the reader plus scoped threads), with
-//! a join at the end of each phase: Phase 1 page-partitioned, Phase 2
-//! PK-partitioned. The conflict-freedom argument for such a batch is in
-//! the `apply.rs` module docs; DDL records apply on the reader
-//! between the joins, with nothing in flight.
+//! Every batch is applied on the reader, in log order: a one-transaction
+//! commit crosses no thread handoff between the log and the watermark,
+//! and no two applies ever run at once, so the apply needs no conflict
+//! rules (`apply.rs` module docs). The paper's page- and PK-partitioned
+//! parallel phases are not used: on two vCPUs they won no steady
+//! workload and too few bulk loads to pay for their threads (ROADMAP).
 
 use crate::apply::Applier;
 use crate::metrics::ReplicationMetrics;
@@ -27,18 +25,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Fewest DML entries in one read batch that fan its phases out to
-/// `parallelism` workers; smaller batches apply inline on the reader.
-/// Sized from measurement on a 2-vCPU VM, replaying an already-written
-/// log of 8-row insert transactions: inline apply costs 2–3 µs per DML
-/// entry; two workers took 3.7× the inline time at 256 DMLs, broke even
-/// at 1,024, and lost again on long runs of sequential inserts, where
-/// page partitioning leaves one hot leaf and both workers append to one
-/// column group. The 100k-row sysbench load, applied while the writer
-/// produces it, finished 6% sooner fanned out (median of five). Steady
-/// CH-benCH and sysbench read batches hold a few DMLs and stay inline.
-pub const FANOUT_MIN_DMLS: usize = 1024;
 
 /// Most log bytes one live read takes, so a long catch-up publishes
 /// progress (and holds one batch of decoded entries) as it goes.
@@ -60,10 +46,6 @@ pub enum ShipMode {
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Apply workers per phase for a read batch of at least
-    /// [`FANOUT_MIN_DMLS`] DML entries (the reader counts as one).
-    /// 1 applies every batch inline on the reader.
-    pub parallelism: usize,
     /// §5.5 pre-commit threshold in DMLs per transaction.
     pub large_txn_threshold: usize,
     /// CALS on/off.
@@ -75,7 +57,6 @@ pub struct ReplicationConfig {
 impl Default for ReplicationConfig {
     fn default() -> ReplicationConfig {
         ReplicationConfig {
-            parallelism: 2,
             large_txn_threshold: 8192,
             ship_mode: ShipMode::CommitAhead,
             poll_interval: Duration::from_millis(1),
@@ -155,10 +136,8 @@ impl Pipeline {
                         }
                         continue;
                     }
-                    let dmls = frames.iter().filter(|(e, _)| e.payload.is_dml()).count();
-                    let fan_out = dmls >= FANOUT_MIN_DMLS && config.parallelism > 1;
-                    applier.apply(&frames, if fan_out { config.parallelism } else { 1 });
-                    publish(&metrics, &errors, &applier, fan_out);
+                    applier.apply(&frames);
+                    publish(&metrics, &errors, &applier);
                 }
                 applier.finish()
             })
@@ -246,6 +225,9 @@ fn read_batch(
         ShipMode::OnCommit => {
             let cap = fs.synced_len(REDO_LOG_NAME);
             if reader.offset() >= cap {
+                // A fixed poll of the durable tail, once per reader-loop
+                // turn, by design: it is the slow baseline the paper's
+                // Fig. 10 measures commit-ahead shipping against.
                 std::thread::sleep(cfg.poll_interval);
                 Vec::new()
             } else {
@@ -258,7 +240,7 @@ fn read_batch(
 /// Publish one applied read batch: counters, then the visible VID, then
 /// the applied LSN last — it wakes strong readers, and the step has
 /// already advanced the column store they will read.
-fn publish(m: &ReplicationMetrics, errors: &AtomicU64, applier: &Applier, fanned_out: bool) {
+fn publish(m: &ReplicationMetrics, errors: &AtomicU64, applier: &Applier) {
     let c = applier.counts();
     let pos = applier.position();
     m.entries_read.store(c.entries, Ordering::Relaxed);
@@ -269,12 +251,6 @@ fn publish(m: &ReplicationMetrics, errors: &AtomicU64, applier: &Applier, fanned
     m.precommits.store(applier.precommits(), Ordering::Relaxed);
     errors.store(c.errors, Ordering::Relaxed);
     m.batches.fetch_add(1, Ordering::Relaxed);
-    let path = if fanned_out {
-        &m.fanout_batches
-    } else {
-        &m.inline_batches
-    };
-    path.fetch_add(1, Ordering::Relaxed);
     m.read_lsn.fetch_max(pos.last_lsn, Ordering::SeqCst);
     m.max_tid.fetch_max(pos.max_tid, Ordering::SeqCst);
     m.visible_vid.fetch_max(pos.max_vid, Ordering::SeqCst);
@@ -429,9 +405,8 @@ mod tests {
     #[test]
     fn concurrent_same_row_updates_stay_ordered() {
         // The Fig. 6 scenario: different transactions update the same
-        // row; PK-hash dispatch must serialize them in commit order.
-        // The whole log is written before the pipeline starts, so its
-        // first read batch is large enough to fan out.
+        // row; they must land in commit order. The whole log is written
+        // before the pipeline starts, so most of it is one read batch.
         let (fs, rw) = setup();
         let row = |pk: i64, v: i64| vec![Value::Int(pk), Value::Int(v), Value::Null];
         let mut txn = rw.begin();
@@ -439,7 +414,7 @@ mod tests {
             rw.insert(&mut txn, "t", row(pk, 0)).unwrap();
         }
         rw.commit(txn).unwrap();
-        let n = FANOUT_MIN_DMLS as i64 + 100;
+        let n = 1100i64;
         for i in 1..=n {
             let mut txn = rw.begin();
             rw.update(&mut txn, "t", 1, row(1, i)).unwrap();
@@ -447,16 +422,9 @@ mod tests {
                 .unwrap();
             rw.commit(txn).unwrap();
         }
-        let (pipe, store) = start_ro(
-            &fs,
-            ReplicationConfig {
-                parallelism: 4,
-                ..ReplicationConfig::default()
-            },
-        );
+        let (pipe, store) = start_ro(&fs, ReplicationConfig::default());
         let target = rw.log().unwrap().written_lsn().get();
         assert!(pipe.wait_applied(target, Duration::from_secs(20)));
-        assert!(pipe.metrics().fanout_batches.load(Ordering::Relaxed) >= 1);
         let idx = store.index(imci_common::TableId(1)).unwrap();
         let snap = idx.snapshot();
         assert_eq!(

@@ -167,7 +167,7 @@ fn replay_into(
     }
     // Single-threaded replay never needs the §5.5 pre-commit path.
     let mut applier = Applier::new(engine, store, usize::MAX, *position);
-    applier.apply(&frames, 1);
+    applier.apply(&frames);
     if let Some(e) = applier.take_error() {
         return Err(e);
     }

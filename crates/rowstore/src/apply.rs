@@ -99,29 +99,14 @@ fn local_page(
     })
 }
 
-/// Block until page `id` exists in this node's pool.
-///
-/// Phase-1 replay is page-partitioned: a split's full-page image
-/// (`SmoLeafWrite` / `SmoInternalWrite`) and the pointer records that
-/// reference it (`SmoSetNext`, `SmoParentInsert`, `SmoSetRoot`) hash to
-/// *different* workers, so the pointer can reach its page before the
-/// sibling exists locally — and a concurrent reader descending the tree
-/// would chase the dangling pointer out of the pool into shared storage.
-/// The creating record always carries a lower LSN than the pointer, so
-/// by the time any worker gets here it is already queued (or applied) at
-/// its own page's worker: the wait is short and, because every wait
-/// targets a strictly earlier record, cycle-free. It parks on the pool's
-/// install condvar rather than polling the frame map the applying
-/// worker needs. The deadline only trips on a corrupt log, where the
-/// creation record never existed.
-fn await_page_birth(bp: &BufferPool, id: imci_common::PageId) -> Result<()> {
-    if bp.wait_local(id, std::time::Duration::from_secs(5)) {
-        Ok(())
-    } else {
-        Err(Error::Replication(format!(
-            "replay references page {id} before its creation record"
-        )))
-    }
+/// Fail unless page `id` exists in this node's pool. A pointer-bearing
+/// SMO (`SmoSetNext`, `SmoParentInsert`, `SmoInternalWrite`,
+/// `SmoSetRoot`) references a page born by a strictly lower-LSN record,
+/// which in-order replay has already applied; a miss means a corrupt
+/// log. Checking first keeps a reader that descends the tree from
+/// chasing a dangling pointer out of the pool into shared storage.
+fn require_page(bp: &BufferPool, id: imci_common::PageId) -> Result<()> {
+    local_page(bp, id).map(|_| ())
 }
 
 /// Apply one REDO entry to the node-local pages; returns the extracted
@@ -306,7 +291,7 @@ pub fn apply_entry(engine: &RowEngine, e: &RedoEntry) -> Result<Option<LogicalCh
         }
         RedoPayload::SmoSetNext { next_leaf } => {
             if let Some(next) = next_leaf {
-                await_page_birth(bp, *next)?;
+                require_page(bp, *next)?;
             }
             let arc = local_page(bp, e.page_id)?;
             let mut page = arc.write();
@@ -322,7 +307,7 @@ pub fn apply_entry(engine: &RowEngine, e: &RedoEntry) -> Result<Option<LogicalCh
             Ok(None)
         }
         RedoPayload::SmoParentInsert { key, child } => {
-            await_page_birth(bp, *child)?;
+            require_page(bp, *child)?;
             let arc = local_page(bp, e.page_id)?;
             let mut page = arc.write();
             if e.lsn <= page.last_lsn {
@@ -342,11 +327,9 @@ pub fn apply_entry(engine: &RowEngine, e: &RedoEntry) -> Result<Option<LogicalCh
         }
         RedoPayload::SmoInternalWrite { keys, children } => {
             // An internal rewrite can hand out pointers to a page born
-            // by an earlier record on another worker (root split: the
-            // fresh right sibling). Existing children hit the pool
-            // directly, so the waits are free in the common case.
+            // by an earlier record (root split: the fresh right sibling).
             for c in children {
-                await_page_birth(bp, *c)?;
+                require_page(bp, *c)?;
             }
             let arc = match bp.get_local(e.page_id) {
                 Some(a) => a,
@@ -376,7 +359,7 @@ pub fn apply_entry(engine: &RowEngine, e: &RedoEntry) -> Result<Option<LogicalCh
             Ok(None)
         }
         RedoPayload::SmoSetRoot { root } => {
-            await_page_birth(bp, *root)?;
+            require_page(bp, *root)?;
             let arc = match bp.get_local(e.page_id) {
                 Some(a) => a,
                 None => bp.install(Page::new_meta(e.page_id, *root)),
@@ -594,13 +577,12 @@ mod tests {
         assert_eq!(ro.row_count("t").unwrap(), 50);
     }
 
-    /// Page-partitioned Phase-1 replay: a pointer record (here
-    /// `SmoSetNext`) can reach its worker before the pointed-to page's
-    /// full-page image is applied by a *different* worker. The pointer
-    /// apply must wait for the page's birth instead of exposing a
-    /// dangling reference to concurrent readers.
+    /// A pointer record (here `SmoSetNext`) whose target page has no
+    /// birth record before it is a corrupt log: the apply fails and
+    /// leaves no dangling reference for readers. Once the image has
+    /// been applied, the same record applies.
     #[test]
-    fn pointer_records_wait_for_page_birth() {
+    fn pointer_records_require_their_page_born_first() {
         let fs = PolarFs::instant();
         let ro = RowEngine::new_replica(fs, 1 << 20);
         let smo = |lsn: u64, page: u64, payload: RedoPayload| RedoEntry {
@@ -612,50 +594,41 @@ mod tests {
             slot_id: 0,
             payload,
         };
-        apply_entry(
-            &ro,
-            &smo(
-                1,
-                5,
+        let leaf = |lsn: u64, page: u64, pk: i64| {
+            smo(
+                lsn,
+                page,
                 RedoPayload::SmoLeafWrite {
-                    entries: vec![(1, vec![1u8])],
+                    entries: vec![(pk, vec![pk as u8])],
                     next_leaf: None,
                 },
-            ),
-        )
-        .unwrap();
-
-        // The sibling's image (LSN 2) lands late, from another thread —
-        // the out-of-order interleaving two page-hashed workers produce.
-        let late = {
-            let ro = ro.clone();
-            let e = smo(
-                2,
-                7,
-                RedoPayload::SmoLeafWrite {
-                    entries: vec![(9, vec![9u8])],
-                    next_leaf: None,
-                },
-            );
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-                apply_entry(&ro, &e).unwrap();
-            })
+            )
         };
-        apply_entry(
-            &ro,
-            &smo(
-                3,
-                5,
-                RedoPayload::SmoSetNext {
-                    next_leaf: Some(imci_common::PageId(7)),
-                },
-            ),
-        )
-        .unwrap();
-        // By the time the pointer is visible, its target must exist.
-        assert!(ro.buffer_pool().get_local(imci_common::PageId(7)).is_some());
-        late.join().unwrap();
+        let link = smo(
+            3,
+            5,
+            RedoPayload::SmoSetNext {
+                next_leaf: Some(imci_common::PageId(7)),
+            },
+        );
+        apply_entry(&ro, &leaf(1, 5, 1)).unwrap();
+        assert!(apply_entry(&ro, &link).is_err());
+        let page = ro.buffer_pool().get_local(imci_common::PageId(5)).unwrap();
+        assert!(matches!(
+            page.read().kind,
+            PageKind::Leaf { next: None, .. }
+        ));
+
+        apply_entry(&ro, &leaf(2, 7, 9)).unwrap();
+        apply_entry(&ro, &link).unwrap();
+        let page = ro.buffer_pool().get_local(imci_common::PageId(5)).unwrap();
+        assert!(matches!(
+            page.read().kind,
+            PageKind::Leaf {
+                next: Some(imci_common::PageId(7)),
+                ..
+            }
+        ));
     }
 
     #[test]

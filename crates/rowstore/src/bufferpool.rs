@@ -9,7 +9,7 @@
 use crate::page::Page;
 use bytes::Bytes;
 use imci_common::{Error, FxHashMap, PageId, Result};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use polarfs_sim::PolarFs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,9 +28,6 @@ struct Frame {
 pub struct BufferPool {
     fs: PolarFs,
     frames: Mutex<FxHashMap<PageId, Arc<Frame>>>,
-    /// Notified whenever [`BufferPool::install`] adds a page, for
-    /// [`BufferPool::wait_local`].
-    born: Condvar,
     capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -43,7 +40,6 @@ impl BufferPool {
         Arc::new(BufferPool {
             fs,
             frames: Mutex::new(FxHashMap::default()),
-            born: Condvar::new(),
             capacity: capacity.max(8),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -100,22 +96,6 @@ impl BufferPool {
         })
     }
 
-    /// Block until page `id` is resident in this pool (true) or
-    /// `timeout` passes (false). Parks on the install condvar, so a
-    /// waiting replay worker does not contend for the frame map.
-    pub fn wait_local(&self, id: PageId, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut frames = self.frames.lock();
-        while !frames.contains_key(&id) {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.born.wait_for(&mut frames, deadline - now);
-        }
-        true
-    }
-
     /// Install a brand-new page (e.g. the right sibling of a split, or a
     /// page materialized by replay).
     pub fn install(&self, page: Page) -> Arc<RwLock<Page>> {
@@ -132,7 +112,6 @@ impl BufferPool {
         });
         let out = frame.page.clone();
         frames.insert(id, frame);
-        self.born.notify_all();
         if frames.len() > self.capacity {
             self.evict_one(&mut frames);
         }

@@ -91,14 +91,6 @@ impl RedoPayload {
         (10..20).contains(&self.kind_tag())
     }
 
-    /// Whether this is a user row change (insert, update or delete).
-    pub fn is_dml(&self) -> bool {
-        matches!(
-            self,
-            RedoPayload::Insert { .. } | RedoPayload::Update { .. } | RedoPayload::Delete { .. }
-        )
-    }
-
     /// Whether this is a transaction decision record.
     pub fn is_decision(&self) -> bool {
         matches!(self, RedoPayload::Commit { .. } | RedoPayload::Abort)

@@ -1,9 +1,10 @@
-//! Oracle for the one REDO apply path: on random logs, the live
-//! pipeline forced inline (parallelism 1), the live pipeline forced to
-//! fan out (started on the finished log, so its first read batch holds
-//! every entry, with parallelism 3) and single-threaded `replay` must
-//! end in the same state: row contents, column contents, log position
-//! and in-flight undo.
+//! Oracle for the one REDO apply path: on random logs, a live pipeline
+//! that tails the log while it is written (many small read batches), a
+//! live pipeline started on the finished log (one read batch holding
+//! every entry) and `replay` must end in the same state: row contents,
+//! column contents, log position and in-flight undo. That state must
+//! also match the writer's own: its rows, and its committed rows in the
+//! column indexes.
 //!
 //! The logs mix committed and aborted transactions, transactions that
 //! cross the pipelines' pre-commit threshold (some of them aborted), an
@@ -186,6 +187,28 @@ fn columns(engine: &RowEngine, store: &ColumnStore) -> BTreeMap<String, BTreeMap
     out
 }
 
+/// What the column indexes of a node caught up with `writer`'s log must
+/// hold: `writer`'s rows minus the in-flight keys, projected onto each
+/// index's covered columns (`store` supplies the index layouts).
+fn committed_columns(
+    writer: &RowEngine,
+    store: &ColumnStore,
+    in_flight: &std::ops::Range<i64>,
+) -> BTreeMap<String, BTreeMap<i64, Vec<Value>>> {
+    let mut out = BTreeMap::new();
+    for (name, table) in rows(writer) {
+        let id = writer.table(&name).unwrap().schema.table_id;
+        let Ok(idx) = store.index(id) else { continue };
+        let committed = table
+            .into_iter()
+            .filter(|(pk, _)| !in_flight.contains(pk))
+            .map(|(pk, r)| (pk, idx.covered.iter().map(|&c| r[c].clone()).collect()))
+            .collect();
+        out.insert(name, committed);
+    }
+    out
+}
+
 /// The end state of one apply path, in comparable form.
 #[derive(Debug, PartialEq)]
 struct End {
@@ -195,27 +218,25 @@ struct End {
     inflight: String,
 }
 
-/// Start a pipeline over the whole (fenced) log, drain it, and return
-/// its end state and metrics.
-fn drained(fs: &PolarFs, parallelism: usize) -> (End, Arc<ReplicationMetrics>) {
-    let engine = RowEngine::new_replica(fs.clone(), usize::MAX / 2);
-    let store = Arc::new(ColumnStore::new(GROUP_CAP));
-    let pipe = Pipeline::start(
-        fs.clone(),
-        engine.clone(),
-        store.clone(),
-        ReplicationConfig {
-            parallelism,
-            large_txn_threshold: THRESHOLD,
-            ..ReplicationConfig::default()
-        },
-        LogPosition::default(),
-    );
+fn pipeline_config() -> ReplicationConfig {
+    ReplicationConfig {
+        large_txn_threshold: THRESHOLD,
+        ..ReplicationConfig::default()
+    }
+}
+
+/// Drain `pipe` (the log must be fenced) and return the end state of
+/// the node it fed, and its metrics.
+fn drain(
+    pipe: Pipeline,
+    engine: &RowEngine,
+    store: &ColumnStore,
+) -> (End, Arc<ReplicationMetrics>) {
     let state = pipe.stop_after_drain().unwrap();
     assert_eq!(pipe.error_count(), 0, "{}", pipe.metrics().summary());
     let end = End {
-        rows: rows(&engine),
-        columns: columns(&engine, &store),
+        rows: rows(engine),
+        columns: columns(engine, store),
         position: state.position,
         inflight: format!("{:?}", state.inflight),
     };
@@ -226,7 +247,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn inline_fanout_and_replay_apply_to_the_same_state(seed_value in any::<u64>()) {
+    fn tailing_whole_log_and_replay_apply_to_the_same_state(seed_value in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed_value);
         let fs = PolarFs::instant();
         let rw = RowEngine::new_rw(
@@ -238,7 +259,18 @@ proptest! {
             let (cols, idxs) = parts(false);
             rw.create_table(name, cols, idxs).unwrap();
         }
-        // A live RO tails the first writer's traffic ...
+        // One RO tails the whole log as it is written, across the
+        // promotion below.
+        let tail_engine = RowEngine::new_replica(fs.clone(), usize::MAX / 2);
+        let tail_store = Arc::new(ColumnStore::new(GROUP_CAP));
+        let tailer = Pipeline::start(
+            fs.clone(),
+            tail_engine.clone(),
+            tail_store.clone(),
+            pipeline_config(),
+            LogPosition::default(),
+        );
+        // Another live RO tails the first writer's traffic ...
         let ro = RowEngine::new_replica(fs.clone(), usize::MAX / 2);
         let live = Pipeline::start(
             fs.clone(),
@@ -260,8 +292,8 @@ proptest! {
             .unwrap();
         let fresh = traffic(&ro, &mut rng, 150, fresh);
         // The second writer dies with two transactions in flight.
-        let (open_a, fresh) = in_flight(&ro, fresh, 3);
-        let (open_b, _) = in_flight(&ro, fresh, 2);
+        let (open_a, after_a) = in_flight(&ro, fresh, 3);
+        let (open_b, after_b) = in_flight(&ro, after_a, 2);
         fs.bump_epoch();
 
         let mut state = seed(&fs, GROUP_CAP).unwrap();
@@ -273,16 +305,28 @@ proptest! {
             inflight: format!("{:?}", replayed.inflight),
         };
         prop_assert_eq!(replayed.inflight.len(), 5);
+        // The writer itself is the ground truth the paths are held to:
+        // its pages hold every commit plus the in-flight inserts, its
+        // committed rows are what the column indexes must show.
+        prop_assert_eq!(&by_replay.rows, &rows(&ro));
+        prop_assert_eq!(&by_replay.columns, &committed_columns(&ro, &state.store, &(fresh..after_b)));
 
-        let (inline, m) = drained(&fs, 1);
-        prop_assert!(m.inline_batches.load(Ordering::Relaxed) >= 1);
-        prop_assert_eq!(m.fanout_batches.load(Ordering::Relaxed), 0, "parallelism 1 never fans out");
+        let (tailed, m) = drain(tailer, &tail_engine, &tail_store);
         prop_assert!(m.precommits.load(Ordering::Relaxed) >= 1, "no transaction crossed the threshold");
-        prop_assert_eq!(&inline, &by_replay);
+        prop_assert_eq!(&tailed, &by_replay);
 
-        let (fanned, m) = drained(&fs, 3);
-        prop_assert!(m.fanout_batches.load(Ordering::Relaxed) >= 1, "a whole-log read batch must fan out");
-        prop_assert_eq!(&fanned, &by_replay);
+        let engine = RowEngine::new_replica(fs.clone(), usize::MAX / 2);
+        let store = Arc::new(ColumnStore::new(GROUP_CAP));
+        let whole = Pipeline::start(
+            fs.clone(),
+            engine.clone(),
+            store.clone(),
+            pipeline_config(),
+            LogPosition::default(),
+        );
+        let (at_once, m) = drain(whole, &engine, &store);
+        prop_assert_eq!(m.batches.load(Ordering::Relaxed), 1, "a drain reads the whole log at once");
+        prop_assert_eq!(&at_once, &by_replay);
         drop((open_a, open_b));
     }
 }
