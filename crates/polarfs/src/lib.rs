@@ -29,11 +29,67 @@ use std::sync::Arc;
 pub use latency::LatencyProfile;
 pub use stats::IoStats;
 
+/// Size of one log segment. Every segment is allocated at this
+/// capacity and never reallocated.
+pub const LOG_SEGMENT_BYTES: usize = 1 << 20;
+
+/// Contents of an append-only log: fixed-size segments filled in order,
+/// so a growing log never copies what it holds and never reserves more
+/// than one segment beyond its length. Reads copy the requested range
+/// across segment boundaries.
+#[derive(Default)]
+struct Segments {
+    /// Every segment but the last is full.
+    segs: Vec<Vec<u8>>,
+    /// Total bytes appended.
+    len: u64,
+}
+
+impl Segments {
+    fn append(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        while !bytes.is_empty() {
+            let room = match self.segs.last() {
+                Some(seg) if seg.len() < LOG_SEGMENT_BYTES => LOG_SEGMENT_BYTES - seg.len(),
+                _ => {
+                    self.segs.push(Vec::with_capacity(LOG_SEGMENT_BYTES));
+                    LOG_SEGMENT_BYTES
+                }
+            };
+            let (head, rest) = bytes.split_at(room.min(bytes.len()));
+            self.segs.last_mut().unwrap().extend_from_slice(head);
+            bytes = rest;
+        }
+    }
+
+    /// Copy of `[off, off + max)` clipped to the log's end.
+    fn read(&self, off: u64, max: usize) -> Vec<u8> {
+        if off >= self.len {
+            return Vec::new();
+        }
+        let end = self.len.min(off.saturating_add(max as u64));
+        let mut out = Vec::with_capacity((end - off) as usize);
+        let mut pos = off;
+        while pos < end {
+            let seg = &self.segs[(pos / LOG_SEGMENT_BYTES as u64) as usize];
+            let start = (pos % LOG_SEGMENT_BYTES as u64) as usize;
+            let take = ((end - pos) as usize).min(seg.len() - start);
+            out.extend_from_slice(&seg[start..start + take]);
+            pos += take as u64;
+        }
+        out
+    }
+
+    /// Bytes the segments occupy, reserved capacity included.
+    fn bytes_held(&self) -> u64 {
+        self.segs.iter().map(|s| s.capacity() as u64).sum()
+    }
+}
+
 /// A single append-only file (e.g. the REDO log).
 struct LogFile {
-    /// Contents; appends extend it. Kept as one Vec: our logs are
-    /// bounded by bench length and reads clone only the requested range.
-    data: Mutex<Vec<u8>>,
+    /// Contents; appends fill the tail segment.
+    data: Mutex<Segments>,
     /// Bytes made durable by the last fsync.
     synced_len: Mutex<u64>,
     /// Signalled on every append so tail-readers can block.
@@ -130,7 +186,7 @@ impl PolarFs {
         w.entry(name.to_string())
             .or_insert_with(|| {
                 Arc::new(LogFile {
-                    data: Mutex::new(Vec::new()),
+                    data: Mutex::new(Segments::default()),
                     synced_len: Mutex::new(0),
                     grew: Condvar::new(),
                 })
@@ -220,8 +276,8 @@ impl PolarFs {
         let off;
         {
             let mut data = f.data.lock();
-            off = data.len() as u64;
-            data.extend_from_slice(bytes);
+            off = data.len;
+            data.append(bytes);
         }
         f.grew.notify_all();
         self.inner.stats.record_append(bytes.len());
@@ -246,8 +302,8 @@ impl PolarFs {
                     "append to {name} fenced: writer epoch {epoch} < volume epoch {current}"
                 )));
             }
-            off = data.len() as u64;
-            data.extend_from_slice(bytes);
+            off = data.len;
+            data.append(bytes);
         }
         f.grew.notify_all();
         self.inner.stats.record_append(bytes.len());
@@ -257,7 +313,13 @@ impl PolarFs {
 
     /// Current length of log `name` (0 if absent).
     pub fn log_len(&self, name: &str) -> u64 {
-        self.log(name).data.lock().len() as u64
+        self.log(name).data.lock().len
+    }
+
+    /// Bytes the segments of log `name` occupy (0 if absent): its
+    /// length rounded up to whole segments.
+    pub fn log_bytes_held(&self, name: &str) -> u64 {
+        self.log(name).data.lock().bytes_held()
     }
 
     /// Force log `name` durable; models the fsync on the commit path.
@@ -265,7 +327,7 @@ impl PolarFs {
         let f = self.log(name);
         {
             let data = f.data.lock();
-            *f.synced_len.lock() = data.len() as u64;
+            *f.synced_len.lock() = data.len;
         }
         self.inner.stats.record_fsync();
         self.inner.latency.fsync();
@@ -279,15 +341,10 @@ impl PolarFs {
     /// Read up to `max` bytes from `offset`; returns an owned copy.
     /// Empty result means the reader caught up with the tail.
     pub fn read_log(&self, name: &str, offset: u64, max: usize) -> Vec<u8> {
-        let f = self.log(name);
-        let data = f.data.lock();
-        let off = offset as usize;
-        if off >= data.len() {
-            return Vec::new();
+        let out = self.log(name).data.lock().read(offset, max);
+        if out.is_empty() {
+            return out;
         }
-        let end = data.len().min(off + max);
-        let out = data[off..end].to_vec();
-        drop(data);
         self.inner.stats.record_log_read(out.len());
         self.inner.latency.read(out.len());
         out
@@ -300,11 +357,11 @@ impl PolarFs {
     pub fn wait_for_growth(&self, name: &str, offset: u64, timeout: std::time::Duration) -> u64 {
         let f = self.log(name);
         let mut data = f.data.lock();
-        if (data.len() as u64) > offset {
-            return data.len() as u64;
+        if data.len > offset {
+            return data.len;
         }
         let _ = f.grew.wait_for(&mut data, timeout);
-        data.len() as u64
+        data.len
     }
 
     // ---- page store ----
@@ -509,6 +566,101 @@ mod tests {
         assert_eq!(h.join().unwrap(), 1);
         // Already-seen beats return immediately.
         assert_eq!(fs.wait_beat(0, Duration::from_millis(1)), 1);
+    }
+
+    /// `n` bytes of a pattern that differs at every segment offset.
+    fn pattern(from: usize, n: usize) -> Vec<u8> {
+        (from..from + n).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn append_straddling_a_segment_boundary_reads_back_whole() {
+        let fs = PolarFs::instant();
+        let head = LOG_SEGMENT_BYTES - 10;
+        fs.append("redo", &pattern(0, head));
+        assert_eq!(fs.log_bytes_held("redo"), LOG_SEGMENT_BYTES as u64);
+        // 10 bytes close the first segment, 90 open the second.
+        assert_eq!(fs.append("redo", &pattern(head, 100)), head as u64);
+        assert_eq!(fs.log_len("redo"), head as u64 + 100);
+        assert_eq!(fs.log_bytes_held("redo"), 2 * LOG_SEGMENT_BYTES as u64);
+        assert_eq!(fs.read_log("redo", head as u64, 100), pattern(head, 100));
+        assert_eq!(
+            fs.read_log("redo", head as u64 - 5, 20),
+            pattern(head - 5, 20)
+        );
+    }
+
+    #[test]
+    fn read_log_copies_across_three_segments() {
+        let fs = PolarFs::instant();
+        let total = 3 * LOG_SEGMENT_BYTES - 7;
+        // Uneven appends so no append lines up with a boundary.
+        let mut at = 0;
+        for n in [
+            LOG_SEGMENT_BYTES / 3,
+            LOG_SEGMENT_BYTES,
+            LOG_SEGMENT_BYTES + 5,
+        ] {
+            fs.append("redo", &pattern(at, n));
+            at += n;
+        }
+        fs.append("redo", &pattern(at, total - at));
+        assert_eq!(fs.log_len("redo"), total as u64);
+        let from = LOG_SEGMENT_BYTES - 3;
+        let n = LOG_SEGMENT_BYTES + 9;
+        assert_eq!(fs.read_log("redo", from as u64, n), pattern(from, n));
+        // The whole log in one read, and a read clipped at the tail.
+        assert_eq!(fs.read_log("redo", 0, usize::MAX), pattern(0, total));
+        assert_eq!(
+            fs.read_log("redo", total as u64 - 4, 1 << 30),
+            pattern(total - 4, 4)
+        );
+        assert_eq!(fs.stats().bytes_log_read(), (n + total + 4) as u64);
+    }
+
+    #[test]
+    fn fenced_append_at_a_segment_boundary_leaves_the_log_alone() {
+        let fs = PolarFs::instant();
+        fs.append_fenced("redo", &pattern(0, LOG_SEGMENT_BYTES), 0)
+            .unwrap();
+        let held = fs.log_bytes_held("redo");
+        fs.bump_epoch();
+        assert!(fs.append_fenced("redo", b"zombie", 0).is_err());
+        assert_eq!(fs.log_len("redo"), LOG_SEGMENT_BYTES as u64);
+        assert_eq!(fs.log_bytes_held("redo"), held, "no segment opened");
+        assert_eq!(
+            fs.append_fenced("redo", b"new", 1).unwrap(),
+            LOG_SEGMENT_BYTES as u64
+        );
+        assert_eq!(
+            fs.read_log("redo", LOG_SEGMENT_BYTES as u64 - 1, 64),
+            [pattern(LOG_SEGMENT_BYTES - 1, 1), b"new".to_vec()].concat()
+        );
+    }
+
+    #[test]
+    fn segments_hold_at_most_one_segment_beyond_the_length() {
+        let fs = PolarFs::instant();
+        let mut expect = Vec::new();
+        assert_eq!(fs.log_bytes_held("redo"), 0);
+        // xorshift64: random append sizes in [0, 200k) without a dependency.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        while expect.len() < 4 * LOG_SEGMENT_BYTES {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let n = (x % 200_000) as usize;
+            let bytes = pattern(expect.len(), n);
+            fs.append("redo", &bytes);
+            expect.extend_from_slice(&bytes);
+            let (len, held) = (fs.log_len("redo"), fs.log_bytes_held("redo"));
+            assert_eq!(len, expect.len() as u64);
+            assert!(
+                held >= len && held <= len + LOG_SEGMENT_BYTES as u64,
+                "{held} for {len}"
+            );
+        }
+        assert_eq!(fs.read_log("redo", 0, usize::MAX), expect);
     }
 
     #[test]

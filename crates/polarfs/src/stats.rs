@@ -76,6 +76,11 @@ impl IoStats {
         self.log_reads.load(Ordering::Relaxed)
     }
 
+    /// Total bytes returned by log reads.
+    pub fn bytes_log_read(&self) -> u64 {
+        self.bytes_log_read.load(Ordering::Relaxed)
+    }
+
     /// Number of page reads served by shared storage (buffer-pool misses).
     pub fn page_reads(&self) -> u64 {
         self.page_reads.load(Ordering::Relaxed)
@@ -126,5 +131,8 @@ mod tests {
         assert_eq!(s.bytes_appended(), 128);
         assert_eq!(s.fsyncs(), 1);
         assert!(s.summary().contains("fsyncs=1"));
+        s.record_log_read(40);
+        s.record_log_read(2);
+        assert_eq!((s.log_reads(), s.bytes_log_read()), (2, 42));
     }
 }

@@ -198,7 +198,7 @@ impl BTree {
         let path = self.descend(pk)?;
         let leaf_id = *path.last().unwrap();
         let leaf_arc = self.bp.get(leaf_id)?;
-        let needs_split;
+        let (needs_split, at_last_slot);
         {
             let mut leaf = leaf_arc.write();
             let slot = match leaf.leaf_slot(pk)? {
@@ -207,10 +207,12 @@ impl BTree {
             };
             leaf.leaf_entries_mut()?.insert(slot, (pk, image.clone()));
             ctx.emit_dml(&mut leaf, slot as u32, RedoPayload::Insert { pk, image })?;
-            needs_split = leaf.byte_size() > PAGE_BYTE_CAPACITY && leaf.leaf_entries()?.len() >= 4;
+            let len = leaf.leaf_entries()?.len();
+            needs_split = leaf.byte_size() > PAGE_BYTE_CAPACITY && len >= 4;
+            at_last_slot = slot + 1 == len;
         }
         if needs_split {
-            self.split_leaf(&path, ctx)?;
+            self.split_leaf(&path, at_last_slot, ctx)?;
         }
         Ok(())
     }
@@ -234,7 +236,7 @@ impl BTree {
             needs_split = leaf.byte_size() > PAGE_BYTE_CAPACITY && leaf.leaf_entries()?.len() >= 4;
         }
         if needs_split {
-            self.split_leaf(&path, ctx)?;
+            self.split_leaf(&path, false, ctx)?;
         }
         Ok(old)
     }
@@ -253,7 +255,14 @@ impl BTree {
         Ok(old)
     }
 
-    fn split_leaf(&self, path: &[PageId], ctx: &RedoCtx) -> Result<()> {
+    /// Split the leaf at the end of `path` and post the new sibling to
+    /// its parent. A split forced by an insert at the leaf's last slot
+    /// (`at_last_slot`; ascending keys) splits there, as InnoDB does:
+    /// the left page stays full and the new right sibling gets only the
+    /// new entry, so a sequential load fills its leaves and logs one row
+    /// per split instead of half a page. Every other split is at the
+    /// midpoint.
+    fn split_leaf(&self, path: &[PageId], at_last_slot: bool, ctx: &RedoCtx) -> Result<()> {
         let leaf_id = *path.last().unwrap();
         let right_id = self.page_alloc.alloc();
         let split_key;
@@ -267,7 +276,11 @@ impl BTree {
                 _ => return Err(Error::Storage("split target not a leaf".into())),
             };
             let entries = leaf.leaf_entries_mut()?;
-            let mid = entries.len() / 2;
+            let mid = if at_last_slot {
+                entries.len() - 1
+            } else {
+                entries.len() / 2
+            };
             split_key = entries[mid].0;
             let moved: Vec<(i64, Vec<u8>)> = entries.split_off(mid);
 
@@ -543,6 +556,91 @@ mod tests {
         for pk in [0i64, 1, 2499, 2500, 4999] {
             assert!(t.get(pk).unwrap().is_some(), "pk {pk} lost after splits");
         }
+    }
+
+    /// Byte size of every leaf, in chain order.
+    fn leaf_sizes(t: &BTree) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut cur = Some(t.first_leaf().unwrap());
+        while let Some(id) = cur {
+            let arc = t.bp.get(id).unwrap();
+            let p = arc.read();
+            out.push(p.byte_size());
+            cur = match &p.kind {
+                PageKind::Leaf { next, .. } => *next,
+                _ => None,
+            };
+        }
+        out
+    }
+
+    /// A logged tree, loaded with `keys` (200-byte images); returns the
+    /// tree and the SMO bytes the load logged.
+    fn logged_load(keys: impl Iterator<Item = i64>) -> (BTree, usize) {
+        use imci_wal::{LogReader, PropagationMode};
+        let fs = PolarFs::instant();
+        let bp = BufferPool::new(fs.clone(), 1024);
+        let alloc = Arc::new(PageAllocator::new(1));
+        let ctx = RedoCtx {
+            log: Some(LogWriter::new(fs.clone(), PropagationMode::ReuseRedo)),
+            tid: Tid(7),
+            table_id: TableId(1),
+        };
+        let t = BTree::create(bp, alloc, &ctx).unwrap();
+        for pk in keys {
+            t.insert(pk, vec![pk as u8; 200], &ctx).unwrap();
+        }
+        let smo_bytes = LogReader::new(fs, 0)
+            .read_available()
+            .iter()
+            .filter(|e| e.payload.is_smo())
+            .map(|e| e.encode().len())
+            .sum();
+        (t, smo_bytes)
+    }
+
+    #[test]
+    fn ascending_inserts_split_at_the_insertion_point() {
+        let n = 5000;
+        let (t, smo_bytes) = logged_load(0..n);
+        let sizes = leaf_sizes(&t);
+        assert!(sizes.len() > 40, "{} leaves", sizes.len());
+        let (full, last) = sizes.split_at(sizes.len() - 1);
+        for (i, size) in full.iter().enumerate() {
+            assert!(
+                *size * 10 >= PAGE_BYTE_CAPACITY * 9,
+                "leaf {i} holds {size} of {PAGE_BYTE_CAPACITY} bytes"
+            );
+        }
+        assert!(last[0] <= PAGE_BYTE_CAPACITY);
+        // One row per split instead of half a page.
+        assert!(
+            smo_bytes < 200 * n as usize,
+            "{smo_bytes} SMO bytes for {n} inserts of 200-byte rows"
+        );
+        assert_eq!(t.count().unwrap(), n as usize);
+        let mut next = 0;
+        t.scan_all(|pk, img| {
+            assert_eq!((pk, img), (next, &[pk as u8; 200][..]));
+            next += 1;
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn descending_inserts_still_split_at_the_midpoint() {
+        let (t, _) = logged_load((0..5000).rev());
+        let sizes = leaf_sizes(&t);
+        // The first leaf takes every new key; each one it split off
+        // kept the upper half.
+        for (i, size) in sizes.iter().enumerate().skip(1) {
+            let half = PAGE_BYTE_CAPACITY / 2;
+            assert!(
+                size.abs_diff(half) <= 216,
+                "leaf {i} holds {size} bytes, not half a page"
+            );
+        }
+        assert_eq!(t.count().unwrap(), 5000);
     }
 
     #[test]

@@ -35,6 +35,18 @@ impl LogReader {
         self.offset
     }
 
+    /// Queue the chunk just read at `offset` behind the undecoded
+    /// carry-over and advance past it; with no carry-over the chunk
+    /// becomes the buffer, uncopied.
+    fn carry(&mut self, chunk: Vec<u8>) {
+        self.offset += chunk.len() as u64;
+        if self.buf.is_empty() {
+            self.buf = chunk;
+        } else {
+            self.buf.extend_from_slice(&chunk);
+        }
+    }
+
     /// Read and decode all complete entries currently in the log.
     pub fn read_available(&mut self) -> Vec<RedoEntry> {
         let mut out = Vec::new();
@@ -43,12 +55,7 @@ impl LogReader {
             if chunk.is_empty() {
                 break;
             }
-            self.offset += chunk.len() as u64;
-            if self.buf.is_empty() {
-                self.buf = chunk;
-            } else {
-                self.buf.extend_from_slice(&chunk);
-            }
+            self.carry(chunk);
             let mut pos = 0;
             while let Ok(Some((entry, used))) = RedoEntry::decode(&self.buf[pos..]) {
                 out.push(entry);
@@ -72,8 +79,7 @@ impl LogReader {
             if chunk.is_empty() {
                 break;
             }
-            self.offset += chunk.len() as u64;
-            self.buf.extend_from_slice(&chunk);
+            self.carry(chunk);
             // Log offset of `buf[0]`.
             let base = self.offset - self.buf.len() as u64;
             let mut pos = 0;
@@ -186,6 +192,51 @@ mod tests {
                 frames.get(i + 1).map(|f| f.0.lsn.get())
             );
         }
+    }
+
+    #[test]
+    fn frames_crossing_segment_boundaries_decode_whole() {
+        use polarfs_sim::LOG_SEGMENT_BYTES;
+        let fs = PolarFs::instant();
+        let w = LogWriter::new(fs.clone(), PropagationMode::ReuseRedo);
+        // 5 KB frames: about 210 per segment, none aligned to a boundary.
+        let n = 2 * LOG_SEGMENT_BYTES / 5_000 + 20;
+        for pk in 0..n as i64 {
+            w.append(
+                Tid(1),
+                TableId(1),
+                PageId(1),
+                0,
+                RedoPayload::Insert {
+                    pk,
+                    image: vec![pk as u8; 5_000],
+                },
+            )
+            .unwrap();
+        }
+        let len = fs.log_len(REDO_LOG_NAME);
+        assert!(len > 2 * LOG_SEGMENT_BYTES as u64);
+        // Small reads leave a partial frame in the carry-over buffer at
+        // nearly every boundary; large ones adopt whole chunks.
+        let mut r = LogReader::new(fs.clone(), 0);
+        let mut frames = Vec::new();
+        while r.offset() < len {
+            frames.extend(r.wait_and_read(Duration::ZERO, 7_777));
+        }
+        let whole = LogReader::new(fs, 0).read_frames_until(len);
+        assert_eq!(frames.len(), n);
+        assert_eq!(whole.len(), n);
+        for (i, ((a, end_a), (b, end_b))) in frames.iter().zip(&whole).enumerate() {
+            assert_eq!((a.lsn, end_a), (b.lsn, end_b));
+            match &a.payload {
+                RedoPayload::Insert { pk, image } => {
+                    assert_eq!(*pk, i as i64);
+                    assert_eq!(image, &vec![i as u8; 5_000]);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(frames[n - 1].1, len);
     }
 
     #[test]

@@ -11,14 +11,18 @@
 //! ALTER and a DROP + re-create mid-stream, a promotion of a drained
 //! RO pipeline (compensations + epoch marker in the log, then traffic
 //! from the new writer) and transactions still in flight at the end.
+//!
+//! A second oracle loads ascending keys, where leaves split at the
+//! insertion point: replicas must replay the writer's leaf layout page
+//! by page.
 
-use polardb_imci::common::{ColumnDef, DataType, IndexDef, IndexKind, Schema, Value};
+use polardb_imci::common::{ColumnDef, DataType, IndexDef, IndexKind, PageId, Schema, Value};
 use polardb_imci::imci::ColumnStore;
 use polardb_imci::polarfs::PolarFs;
 use polardb_imci::replication::{
     promote, replay, seed, LogPosition, Pipeline, ReplicationConfig, ReplicationMetrics, Stop,
 };
-use polardb_imci::rowstore::{RowEngine, Txn};
+use polardb_imci::rowstore::{PageKind, RowEngine, Txn, PAGE_BYTE_CAPACITY};
 use polardb_imci::wal::{LogWriter, PropagationMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -329,4 +333,76 @@ proptest! {
         prop_assert_eq!(&at_once, &by_replay);
         drop((open_a, open_b));
     }
+}
+
+/// Page id, byte size and keys of every leaf of `table`, in chain order.
+fn leaf_layout(engine: &RowEngine, table: &str) -> Vec<(PageId, usize, Vec<i64>)> {
+    let bp = engine.buffer_pool();
+    let mut out = Vec::new();
+    let mut cur = Some(engine.table(table).unwrap().tree.first_leaf().unwrap());
+    while let Some(id) = cur {
+        let arc = bp.get(id).unwrap();
+        let page = arc.read();
+        let keys = page
+            .leaf_entries()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        out.push((id, page.byte_size(), keys));
+        cur = match &page.kind {
+            PageKind::Leaf { next, .. } => *next,
+            _ => None,
+        };
+    }
+    out
+}
+
+#[test]
+fn ascending_bulk_load_replays_to_the_writers_leaf_layout() {
+    let fs = PolarFs::instant();
+    let rw = RowEngine::new_rw(
+        fs.clone(),
+        LogWriter::new(fs.clone(), PropagationMode::ReuseRedo),
+        1 << 20,
+    );
+    let (cols, idxs) = parts(false);
+    rw.create_table("a", cols, idxs).unwrap();
+    let tail_engine = RowEngine::new_replica(fs.clone(), usize::MAX / 2);
+    let tailer = Pipeline::start(
+        fs.clone(),
+        tail_engine.clone(),
+        Arc::new(ColumnStore::new(GROUP_CAP)),
+        ReplicationConfig::default(),
+        LogPosition::default(),
+    );
+    // 6,000 rows of ~150 bytes in ascending keys, 500 per transaction.
+    for chunk in (0..6_000i64).collect::<Vec<_>>().chunks(500) {
+        let mut txn = rw.begin();
+        for &pk in chunk {
+            let wide = vec![
+                Value::Int(pk),
+                Value::Int(-pk),
+                Value::Str(format!("{pk:0>120}")),
+            ];
+            rw.insert(&mut txn, "a", wide).unwrap();
+        }
+        rw.commit(txn).unwrap();
+    }
+    fs.bump_epoch();
+
+    let written = leaf_layout(&rw, "a");
+    assert!(written.len() > 40, "{} leaves", written.len());
+    for (id, size, _) in &written[..written.len() - 1] {
+        assert!(
+            size * 10 >= PAGE_BYTE_CAPACITY * 9,
+            "leaf {id} holds {size} of {PAGE_BYTE_CAPACITY} bytes"
+        );
+    }
+    let mut state = seed(&fs, GROUP_CAP).unwrap();
+    replay(&fs, &mut state, Stop::LogEnd).unwrap();
+    assert_eq!(leaf_layout(&state.engine, "a"), written, "replay");
+    tailer.stop_after_drain().unwrap();
+    assert_eq!(tailer.error_count(), 0);
+    assert_eq!(leaf_layout(&tail_engine, "a"), written, "tailing pipeline");
 }
