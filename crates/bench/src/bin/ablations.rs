@@ -9,7 +9,7 @@
 //! artifact and gates with `bench-check` against the committed
 //! baselines.
 
-use imci_bench::{bench_cluster, run_query_on, BenchReport};
+use imci_bench::{bench_cluster, run_query_opts, BenchReport};
 use imci_cluster::{Cluster, ClusterConfig, Consistency, ExecOpts};
 use imci_common::{
     ColumnDef, DataType, FxHashMap, IndexDef, IndexKind, Schema, TableId, Value, Vid,
@@ -17,7 +17,7 @@ use imci_common::{
 use imci_core::ColumnIndex;
 use imci_executor::{execute, CmpOp, ExecContext, Expr, PhysicalPlan};
 use imci_replication::{ReplicationConfig, ShipMode};
-use imci_sql::EngineChoice;
+use imci_sql::{EngineChoice, QueryOptions};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,21 +46,21 @@ fn ablation_a(smoke: bool, rep: &mut BenchReport) {
     imci_workloads::tpch::load(&cluster, sf, 21).unwrap();
     assert!(cluster.wait_sync(Duration::from_secs(120)));
     let q6 = imci_workloads::tpch::queries()[5].1.clone();
-    let node = cluster.ros.read()[0].clone();
     // Alternate and take the minimum of several runs (cache warm-up
     // otherwise dominates at this scale).
     let reps = if smoke { 1 } else { 5 };
     let mut t_on = f64::MAX;
     let mut t_off = f64::MAX;
     for _ in 0..reps {
-        node.query.set_prune_enabled(true);
-        let (t, _) = run_query_on(&cluster, &q6, EngineChoice::Column);
-        t_on = t_on.min(t.as_secs_f64() * 1e3);
-        node.query.set_prune_enabled(false);
-        let (t, _) = run_query_on(&cluster, &q6, EngineChoice::Column);
-        t_off = t_off.min(t.as_secs_f64() * 1e3);
+        for (prune, best) in [(true, &mut t_on), (false, &mut t_off)] {
+            let opts = QueryOptions {
+                prune: Some(prune),
+                ..QueryOptions::forced(Some(EngineChoice::Column))
+            };
+            let (t, _) = run_query_opts(&cluster, &q6, &opts);
+            *best = best.min(t.as_secs_f64() * 1e3);
+        }
     }
-    node.query.set_prune_enabled(true);
     println!("pruning_on_ms\t{t_on:.2}");
     println!("pruning_off_ms\t{t_off:.2}");
     rep.set("pruning", "pruning_on_ms", t_on);

@@ -2,7 +2,8 @@
 //! AP clients grow (a), OLAP throughput while TP clients grow (b).
 
 use imci_bench::{bench_cluster, env_usize};
-use imci_sql::EngineChoice;
+use imci_cluster::ExecOpts;
+use imci_sql::{EngineChoice, QueryOptions};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,10 +18,11 @@ fn main() {
     let cluster = bench_cluster(1);
     let ch = Arc::new(imci_workloads::chbench::ChBench::setup(&cluster, warehouses).unwrap());
     assert!(cluster.wait_sync(Duration::from_secs(120)));
-    cluster.ros.read()[0]
-        .query
-        .set_force(Some(EngineChoice::Column));
     let queries = imci_workloads::chbench::analytical_queries();
+    let column = ExecOpts {
+        query: QueryOptions::forced(Some(EngineChoice::Column)),
+        ..Default::default()
+    };
 
     let run_mix = |tp_threads: usize, ap_threads: usize| -> (f64, f64) {
         let stop = Arc::new(AtomicBool::new(false));
@@ -52,7 +54,7 @@ fn main() {
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
                     let (_, sql) = &qs[i % qs.len()];
-                    if c.execute(sql).is_ok() {
+                    if c.execute_opts(sql, column).is_ok() {
                         ops.fetch_add(1, Ordering::Relaxed);
                     }
                     i += 1;

@@ -2,7 +2,8 @@
 //! LSN delay over time as RO nodes are added.
 
 use imci_bench::{bench_cluster, env_usize};
-use imci_sql::EngineChoice;
+use imci_cluster::ExecOpts;
+use imci_sql::{EngineChoice, QueryOptions};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,11 +40,12 @@ fn main() {
     for _ in 0..(host_cores / 2).max(1) {
         let (c, stop, ops, q) = (cluster.clone(), stop.clone(), ap_ops.clone(), q6.clone());
         handles.push(std::thread::spawn(move || {
+            let column = ExecOpts {
+                query: QueryOptions::forced(Some(EngineChoice::Column)),
+                ..Default::default()
+            };
             while !stop.load(Ordering::Relaxed) {
-                for node in c.ros.read().iter() {
-                    node.query.set_force(Some(EngineChoice::Column));
-                }
-                if c.execute(&q).is_ok() {
+                if c.execute_opts(&q, column).is_ok() {
                     ops.fetch_add(1, Ordering::Relaxed);
                 }
             }

@@ -2,8 +2,8 @@
 //! naive-columnar baseline (the ClickHouse stand-in: no pack pruning,
 //! single-threaded scans; see DESIGN.md §4).
 
-use imci_bench::{bench_cluster, env_f64, geomean, run_query_on};
-use imci_sql::EngineChoice;
+use imci_bench::{bench_cluster, env_f64, geomean, run_query_on, run_query_opts};
+use imci_sql::{EngineChoice, QueryOptions};
 
 fn main() {
     let sf = env_f64("SF", 0.002);
@@ -18,13 +18,12 @@ fn main() {
     for (name, sql) in imci_workloads::tpch::queries() {
         let (tc, n1) = run_query_on(&cluster, &sql, EngineChoice::Column);
         // naive columnar: pruning off, parallelism 1
-        let node = cluster.ros.read()[0].clone();
-        let saved = (node.query.get_parallelism(), node.query.get_prune_enabled());
-        node.query.set_parallelism(1);
-        node.query.set_prune_enabled(false);
-        let (tn, n2) = run_query_on(&cluster, &sql, EngineChoice::Column);
-        node.query.set_parallelism(saved.0);
-        node.query.set_prune_enabled(saved.1);
+        let naive_opts = QueryOptions {
+            parallelism: Some(1),
+            prune: Some(false),
+            ..QueryOptions::forced(Some(EngineChoice::Column))
+        };
+        let (tn, n2) = run_query_opts(&cluster, &sql, &naive_opts);
         let (tr, n3) = run_query_on(&cluster, &sql, EngineChoice::Row);
         assert_eq!(n1, n3, "{name}: engines disagree on row count");
         assert_eq!(n2, n3, "{name}: naive engine disagrees");

@@ -13,7 +13,7 @@
 use imci_common::{Error, Result};
 use imci_core::ColumnStore;
 use imci_replication::{Pipeline, RecoveryReport, ReplicationConfig};
-use imci_sql::{QueryEngine, QueryResult};
+use imci_sql::{QueryEngine, QueryOptions, QueryResult};
 use imci_wal::{LogWriter, PropagationMode};
 use parking_lot::{Condvar, Mutex, RwLock};
 use polarfs_sim::{LatencyProfile, PolarFs};
@@ -49,8 +49,6 @@ pub struct ClusterConfig {
     pub replication: ReplicationConfig,
     /// Shared-storage latency profile.
     pub latency: LatencyProfile,
-    /// Row-cost threshold for intra-node routing.
-    pub cost_threshold: f64,
     /// Proxy consistency level.
     pub consistency: Consistency,
     /// How often the RW stamps the shared-storage liveness lease.
@@ -69,7 +67,6 @@ impl Default for ClusterConfig {
             propagation: PropagationMode::ReuseRedo,
             replication: ReplicationConfig::default(),
             latency: LatencyProfile::zero(),
-            cost_threshold: 10_000.0,
             consistency: Consistency::Eventual,
             heartbeat_interval: Duration::from_millis(20),
             supervisor: None,
@@ -304,35 +301,16 @@ const SUP_ARMING: u64 = 1;
 const SUP_WATCHING: u64 = 2;
 const SUP_PROMOTING: u64 = 3;
 
-/// Per-statement routing overrides, carried by proxy sessions
-/// (`imci_server`): `None` fields inherit the cluster-level defaults.
+/// Per-statement overrides, carried by proxy sessions
+/// (`imci_server`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOpts {
     /// Consistency level for reads (paper §6.4); `None` uses
-    /// `ClusterConfig::consistency`.
+    /// `ClusterConfig::consistency`. Resolved by the proxy's routing.
     pub consistency: Option<Consistency>,
-    /// Pin SELECTs to one engine; `None` keeps cost-based routing.
-    pub force_engine: Option<imci_sql::EngineChoice>,
-    /// Morsel-parallelism cap for column-engine SELECTs (`SET
-    /// PARALLELISM <n>`); `None` uses the node default.
-    pub parallelism: Option<usize>,
-    /// Late-materialized scan switch (`SET LATE_MATERIALIZATION
-    /// ON|OFF`); `None` uses the node default.
-    pub late_materialization: Option<bool>,
-}
-
-impl ExecOpts {
-    /// The per-call options these session overrides hand to
-    /// [`QueryEngine::run`] — the consistency field stays behind, it is
-    /// resolved by the proxy's routing, not by the node.
-    pub fn query_options(&self) -> imci_sql::QueryOptions {
-        imci_sql::QueryOptions {
-            engine: self.force_engine,
-            parallelism: self.parallelism,
-            late_materialization: self.late_materialization,
-            prune: None,
-        }
-    }
+    /// Engine pin and executor tuning, handed to [`QueryEngine::run`]
+    /// on whichever node the statement routes to.
+    pub query: QueryOptions,
 }
 
 /// RAII hold on an RO node's active-session counter (the §6.1
@@ -377,8 +355,7 @@ impl Cluster {
         let log = LogWriter::new(fs.clone(), config.propagation);
         let epoch = log.epoch();
         let engine = RowEngine::new_rw(fs.clone(), log, config.bp_capacity);
-        let mut query = QueryEngine::row_only(engine.clone());
-        query.cost_threshold = config.cost_threshold;
+        let query = QueryEngine::new(engine.clone(), None);
         let heartbeat = Heartbeat::start(fs.clone(), epoch, config.heartbeat_interval);
         let cluster = Arc::new(Cluster {
             fs,
@@ -483,8 +460,7 @@ impl Cluster {
             self.config.propagation,
             self.config.group_cap,
         )?;
-        let mut query = QueryEngine::row_only(engine.clone());
-        query.cost_threshold = self.config.cost_threshold;
+        let query = QueryEngine::new(engine.clone(), None);
         let heartbeat = engine.log().map(|log| {
             Heartbeat::start(self.fs.clone(), log.epoch(), self.config.heartbeat_interval)
         });
@@ -574,8 +550,7 @@ impl Cluster {
         let t_col = Instant::now();
         let follower = self.boot_follower()?;
         let col_metrics = follower.pipeline.metrics().clone();
-        let mut query = QueryEngine::dual(node.engine.clone(), follower.store.clone());
-        query.cost_threshold = self.config.cost_threshold;
+        let query = QueryEngine::new(node.engine.clone(), Some(follower.store.clone()));
         let heartbeat = Heartbeat::start(self.fs.clone(), epoch, self.config.heartbeat_interval);
         // Counted before the new writer is visible: whoever sees it (a
         // replayed statement, `STATUS`) also sees the promotion.
@@ -661,8 +636,7 @@ impl Cluster {
         }
         let catchup_time = t1.elapsed();
 
-        let mut query = QueryEngine::dual(follower.engine.clone(), follower.store.clone());
-        query.cost_threshold = self.config.cost_threshold;
+        let query = QueryEngine::new(follower.engine.clone(), Some(follower.store.clone()));
         let node = Arc::new(RoNode {
             name: name.clone(),
             engine: follower.engine,
@@ -971,7 +945,7 @@ impl Cluster {
     /// applied LSN — strong-consistency reads fence on DDL commits and
     /// therefore always see the catalog their session expects.
     fn execute_on_ro(&self, node: &RoNode, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
-        node.query.run(sql, &opts.query_options())
+        node.query.run(sql, &opts.query)
     }
 
     /// Run one write/DDL statement on the RW node. DDL (CREATE / DROP /
@@ -987,7 +961,7 @@ impl Cluster {
     fn execute_rw(&self, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
         let rw = self.rw.read();
         match rw.as_ref() {
-            Some(node) => node.query.run(sql, &opts.query_options()),
+            Some(node) => node.query.run(sql, &opts.query),
             None => Err(Error::Failover(
                 "RW node is down; retry after recovery".into(),
             )),
@@ -1144,16 +1118,20 @@ mod tests {
             .unwrap();
         }
         assert!(c.wait_sync(Duration::from_secs(20)), "ROs must catch up");
-        // Analytical query routes to RO; force column for determinism.
-        c.ros.read()[0].query.set_force(Some(EngineChoice::Column));
+        // Analytical query routes to RO; pin column for determinism.
         let res = c
-            .execute("SELECT grp, COUNT(*), SUM(val) FROM demo GROUP BY grp ORDER BY grp")
+            .execute_opts(
+                "SELECT grp, COUNT(*), SUM(val) FROM demo GROUP BY grp ORDER BY grp",
+                ExecOpts {
+                    query: QueryOptions::forced(Some(EngineChoice::Column)),
+                    ..Default::default()
+                },
+            )
             .unwrap();
         assert_eq!(res.rows.len(), 3);
         assert_eq!(res.rows[0][1], Value::Int(100));
         assert_eq!(res.engine, EngineChoice::Column);
         // Point query stays on the row path.
-        c.ros.read()[0].query.set_force(None);
         let res = c.execute("SELECT note FROM demo WHERE id = 7").unwrap();
         assert_eq!(res.engine, EngineChoice::Row);
         assert_eq!(res.rows[0][0], Value::Str("n2".into()));
@@ -1251,9 +1229,15 @@ mod tests {
         // The ALTER ships as a DDL record whose commit advances the
         // written LSN, so wait_sync covers the RO-side index rebuild.
         assert!(c.wait_sync(Duration::from_secs(20)));
-        let node = c.ros.read()[0].clone();
-        node.query.set_force(Some(EngineChoice::Column));
-        let res = c.execute("SELECT SUM(v) FROM plain").unwrap();
+        let res = c
+            .execute_opts(
+                "SELECT SUM(v) FROM plain",
+                ExecOpts {
+                    query: QueryOptions::forced(Some(EngineChoice::Column)),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert_eq!(res.rows[0][0], Value::Int((0..100).sum::<i64>()));
         assert_eq!(
             res.engine,
@@ -1380,8 +1364,7 @@ mod tests {
             consistency: Some(Consistency::Strong),
             // The RW node has no column store: a result on the COLUMN
             // engine proves the statement ran on an RO node.
-            force_engine: Some(EngineChoice::Column),
-            ..Default::default()
+            query: QueryOptions::forced(Some(EngineChoice::Column)),
         };
         for sql in [
             "-- comment\nSELECT COUNT(*) FROM demo",
@@ -1520,8 +1503,7 @@ mod tests {
         // read through the column engine.
         let opts = ExecOpts {
             consistency: Some(Consistency::Strong),
-            force_engine: Some(EngineChoice::Column),
-            ..Default::default()
+            query: QueryOptions::forced(Some(EngineChoice::Column)),
         };
         let res = c.execute_opts("SELECT COUNT(*) FROM demo", opts).unwrap();
         assert_eq!(res.rows[0][0], Value::Int(399));
@@ -1737,8 +1719,7 @@ mod tests {
         assert!(report.column_caught_up);
 
         let opts = ExecOpts {
-            consistency: None,
-            force_engine: Some(EngineChoice::Column),
+            query: QueryOptions::forced(Some(EngineChoice::Column)),
             ..Default::default()
         };
         let res = c

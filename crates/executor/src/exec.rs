@@ -43,13 +43,12 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// Context over the given snapshots with default tuning.
+    /// Context over the given snapshots with default tuning: the whole
+    /// worker pool, pruning and late materialization on.
     pub fn new(snapshots: FxHashMap<TableId, Arc<Snapshot>>) -> ExecContext {
         ExecContext {
             snapshots,
-            parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            parallelism: morsel::WorkerPool::global().threads().max(1),
             prune_enabled: true,
             late_materialization: true,
         }
@@ -611,7 +610,9 @@ fn hash_join(
     Ok(out)
 }
 
-enum Acc {
+/// One aggregate's running state — shared by the column engine's
+/// (partial) hash aggregation and the row engine's group-by.
+pub enum Acc {
     CountStar(u64),
     Count(u64),
     CountDistinct(imci_common::FxHashSet<Value>),
@@ -630,7 +631,8 @@ enum Acc {
 }
 
 impl Acc {
-    fn new(call: &AggCall) -> Acc {
+    /// Empty state for `call`.
+    pub fn new(call: &AggCall) -> Acc {
         match call.func {
             AggFunc::CountStar => Acc::CountStar(0),
             AggFunc::Count if call.distinct => {
@@ -649,7 +651,8 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) {
+    /// Fold one input value (`None` for `COUNT(*)`) into the state.
+    pub fn update(&mut self, v: Option<&Value>) {
         match self {
             Acc::CountStar(n) => *n += 1,
             Acc::Count(n) => {
@@ -751,7 +754,8 @@ impl Acc {
         }
     }
 
-    fn finish(self) -> Value {
+    /// The aggregate's result.
+    pub fn finish(self) -> Value {
         match self {
             Acc::CountStar(n) | Acc::Count(n) => Value::Int(n as i64),
             Acc::CountDistinct(set) => Value::Int(set.len() as i64),

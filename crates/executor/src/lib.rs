@@ -19,7 +19,7 @@ pub mod morsel;
 pub mod plan;
 
 pub use batch::Batch;
-pub use exec::{exec_stream, execute, execute_with_stats, ExecContext, ExecStats};
+pub use exec::{exec_stream, execute, execute_with_stats, Acc, ExecContext, ExecStats};
 pub use expr::{ArithOp, CmpOp, Expr, LikePattern};
 pub use kernels::{batch_views, compressible, eval_sel, ColView};
 pub use morsel::WorkerPool;

@@ -1,5 +1,5 @@
-// Seeded L008: the panic lives one call away, in ../common — invisible
-// to file-scoped L004, reachable in the call graph.
+// Seeded L008: the panic lives one call away, in ../common, reachable
+// in the call graph.
 
 pub fn on_frame(b: &[u8]) -> u64 {
     crate::helpers::decode_frame(b)

@@ -214,13 +214,13 @@ reason = "capped exponential backoff, bounded by RetryPolicy"
 
     #[test]
     fn reason_is_mandatory() {
-        let text = "[[allow]]\nrule = \"L004\"\npath = \"x.rs\"\n";
+        let text = "[[allow]]\nrule = \"L008\"\npath = \"x.rs\"\n";
         assert!(parse(text).unwrap_err().contains("reason"));
     }
 
     #[test]
     fn stale_entries_are_reported() {
-        let text = "[[allow]]\nrule = \"L004\"\npath = \"gone.rs\"\nreason = \"was fixed\"\n";
+        let text = "[[allow]]\nrule = \"L008\"\npath = \"gone.rs\"\nreason = \"was fixed\"\n";
         let entries = parse(text).unwrap();
         let (_, _, stale) = apply(vec![], &entries);
         assert_eq!(stale.len(), 1);

@@ -4,16 +4,15 @@
 //! [`crate::resolve::RawCall`]s. Each node also carries its *local*
 //! sinks: panic sites (`.unwrap()`, `.expect()`, `panic!`,
 //! `unreachable!`, `todo!`, `unimplemented!`) and blocking sites
-//! (shared verbatim with L006's [`crate::rules::l006::blocking_call_at`]
-//! so the interprocedural rule can never disagree with the syntactic
-//! one about what blocking *is*). Thread boundaries (`spawn(...)`
+//! ([`crate::rules::l009::blocking_call_at`], the one definition of
+//! what blocking *is*). Thread boundaries (`spawn(...)`
 //! arguments) and `catch_unwind(...)` contribute neither edges nor
 //! sinks.
 
 use std::collections::HashMap;
 
 use crate::resolve::{self, Ctx, DefIndex};
-use crate::rules::l006;
+use crate::rules::l009;
 use crate::Workspace;
 
 /// A panic or blocking site inside one fn body.
@@ -237,7 +236,7 @@ fn local_sites(
             });
             continue;
         }
-        if let Some(what) = l006::blocking_call_at(f, i) {
+        if let Some(what) = l009::blocking_call_at(f, i) {
             blocks.push(Site { line: t.line, what });
         }
     }

@@ -33,7 +33,7 @@ pub struct GuardLive {
 /// `read(&mut buf)` is io::Read, not a lock). The acquire call must
 /// be the *final* call of the initializer — in
 /// `let out = map.read().get(k).cloned();` or
-/// `match force.or(*self.force.lock())` the guard is a temporary that
+/// `match pin.or(*self.default.lock())` the guard is a temporary that
 /// dies at the end of the statement, and NAME (if any) binds the
 /// extracted value, not the guard. `let (a, b) = ...` patterns and
 /// `if let` are skipped — none bind bare guards in this workspace.

@@ -21,7 +21,7 @@
 //! Bench/workload/example code is exempt: drivers hold locks across
 //! sleeps deliberately (pacing), and nothing multiplexes behind them.
 
-use super::{l006, Rule};
+use super::{l009, Rule};
 use crate::resolve::Ctx;
 use crate::{intra, Finding, Workspace};
 
@@ -71,7 +71,7 @@ impl Rule for NoGuardAcrossBlocking {
                 }
                 for i in g.start..=g.end {
                     // (a) Direct blocking site under the guard.
-                    if let Some(what) = l006::blocking_call_at(f, i) {
+                    if let Some(what) = l009::blocking_call_at(f, i) {
                         if consumes_guard(f, i, &g.name) {
                             continue; // condvar wait releases the lock
                         }

@@ -5,9 +5,7 @@
 pub mod l001;
 pub mod l002;
 pub mod l003;
-pub mod l004;
 pub mod l005;
-pub mod l006;
 pub mod l007;
 pub mod l008;
 pub mod l009;
@@ -32,9 +30,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(l001::WireTagCoverage),
         Box::new(l002::ErrorKindCoverage),
         Box::new(l003::SleepInLoop),
-        Box::new(l004::NoPanicOnReactorPaths),
         Box::new(l005::SafetyComments),
-        Box::new(l006::NoBlockingOnReactor),
         Box::new(l007::BenchMetricsGated),
         Box::new(l008::NoPanicReachable),
         Box::new(l009::NoBlockingReachableFromReactor),

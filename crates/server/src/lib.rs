@@ -461,4 +461,44 @@ mod tests {
         server.shutdown();
         cluster.shutdown();
     }
+
+    #[test]
+    fn session_parallelism_reaches_the_executor() {
+        let (server, cluster) = serve_small_cluster();
+        let mut a = Client::connect(server.local_addr()).unwrap();
+        let mut b = Client::connect(server.local_addr()).unwrap();
+        a.execute(
+            "CREATE TABLE pt (id INT NOT NULL, g INT, PRIMARY KEY(id),
+             KEY COLUMN_INDEX(id, g))",
+        )
+        .unwrap();
+        for i in 0..20 {
+            a.execute(&format!("INSERT INTO pt VALUES ({i}, {})", i % 4))
+                .unwrap();
+        }
+        for (c, n) in [(&mut a, 1), (&mut b, 3)] {
+            c.set_consistency(Consistency::Strong).unwrap();
+            c.set_force_engine(Some(EngineChoice::Column)).unwrap();
+            c.execute(&format!("SET PARALLELISM {n}")).unwrap();
+        }
+        // Interleaved twice: neither session's setting leaks into the
+        // other's statements.
+        let explain = "EXPLAIN SELECT g, COUNT(*) FROM pt GROUP BY g";
+        for _ in 0..2 {
+            for (c, n) in [(&mut a, 1), (&mut b, 3)] {
+                let res = c.execute(explain).unwrap();
+                assert_eq!(res.engine, EngineChoice::Column);
+                let Value::Str(head) = &res.rows[0][0] else {
+                    panic!("{:?}", res.rows[0]);
+                };
+                assert!(
+                    head.starts_with("engine=column")
+                        && head.ends_with(&format!(" parallelism={n}")),
+                    "{head}"
+                );
+            }
+        }
+        server.shutdown();
+        cluster.shutdown();
+    }
 }

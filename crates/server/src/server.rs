@@ -475,10 +475,10 @@ fn emit(out: &mut Vec<u8>, resp: &Response, version: u32) {
 fn apply_setting(session: &mut ExecOpts, setting: SessionSetting) {
     match setting {
         SessionSetting::Consistency(c) => session.consistency = Some(c),
-        SessionSetting::ForceEngine(f) => session.force_engine = f,
+        SessionSetting::ForceEngine(f) => session.query.engine = f,
         SessionSetting::Tenant(_) => {}
-        SessionSetting::Parallelism(n) => session.parallelism = Some(n),
-        SessionSetting::LateMaterialization(b) => session.late_materialization = Some(b),
+        SessionSetting::Parallelism(n) => session.query.parallelism = Some(n),
+        SessionSetting::LateMaterialization(b) => session.query.late_materialization = Some(b),
     }
 }
 

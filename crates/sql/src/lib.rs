@@ -18,7 +18,6 @@ use imci_common::{
 };
 use imci_core::ColumnStore;
 use imci_executor::{ExecContext, PhysicalPlan};
-use parking_lot::Mutex;
 use rowstore::RowEngine;
 use std::sync::Arc;
 
@@ -36,15 +35,18 @@ pub enum EngineChoice {
     Column,
 }
 
-/// Per-call options for [`QueryEngine::run`] — the single knob surface
+/// Row-plan cost above which a SELECT routes to the column engine
+/// (paper §6.1 intra-node routing).
+pub const COST_THRESHOLD: f64 = 10_000.0;
+
+/// Per-call options for [`QueryEngine::run`] — the one knob surface
 /// for engine routing and executor tuning. Every field defaults to
-/// `None`, meaning "use the node-global setting" (the atomics on
-/// [`QueryEngine`], which benches and ablations flip); a `Some` travels
-/// with the call and is safe under concurrent sessions.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// `None`, meaning the executor's own default (cost-based routing,
+/// machine-sized parallelism, pruning and late materialization on); a
+/// `Some` travels with the call and is safe under concurrent sessions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Pin SELECTs to one engine (None = cost-based routing; the
-    /// node-global [`QueryEngine::set_force`] still applies when unset).
+    /// Pin SELECTs to one engine (None = cost-based routing).
     pub engine: Option<EngineChoice>,
     /// Morsel-parallelism cap for the column executor (clamped to ≥ 1).
     pub parallelism: Option<usize>,
@@ -55,7 +57,7 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Options that pin the engine, leaving everything else node-global.
+    /// Options that pin the engine, leaving everything else at default.
     pub fn forced(engine: Option<EngineChoice>) -> QueryOptions {
         QueryOptions {
             engine,
@@ -92,86 +94,14 @@ impl QueryResult {
 pub struct QueryEngine {
     /// The node's row engine (RW: logging; RO: replica).
     pub row: Arc<RowEngine>,
-    /// The node's column store (present on RO nodes).
+    /// The node's column store (RO nodes and promoted writers).
     pub store: Option<Arc<ColumnStore>>,
-    /// Row-cost threshold above which queries route to the column
-    /// engine (paper §6.1 intra-node routing).
-    pub cost_threshold: f64,
-    /// Scan parallelism for the column engine.
-    pub parallelism: std::sync::atomic::AtomicUsize,
-    /// Pack min/max pruning switch (ablation).
-    pub prune_enabled: std::sync::atomic::AtomicBool,
-    /// Late-materialized scan switch (ablation): filter on compressed
-    /// packs, gather payload columns after.
-    pub late_mat_enabled: std::sync::atomic::AtomicBool,
-    /// Force a specific engine (benchmarks); None = cost-based.
-    pub force: Mutex<Option<EngineChoice>>,
 }
 
 impl QueryEngine {
-    /// Engine over a row store only (RW node).
-    pub fn row_only(row: Arc<RowEngine>) -> QueryEngine {
-        QueryEngine {
-            row,
-            store: None,
-            cost_threshold: 10_000.0,
-            parallelism: std::sync::atomic::AtomicUsize::new(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4),
-            ),
-            prune_enabled: std::sync::atomic::AtomicBool::new(true),
-            late_mat_enabled: std::sync::atomic::AtomicBool::new(true),
-            force: Mutex::new(None),
-        }
-    }
-
-    /// Engine over both formats (RO node).
-    pub fn dual(row: Arc<RowEngine>, store: Arc<ColumnStore>) -> QueryEngine {
-        QueryEngine {
-            store: Some(store),
-            ..QueryEngine::row_only(row)
-        }
-    }
-
-    /// Force all SELECTs to one engine (benchmarks/ablations).
-    pub fn set_force(&self, choice: Option<EngineChoice>) {
-        *self.force.lock() = choice;
-    }
-
-    /// Set scan parallelism (thread-safe; benches/ablations).
-    pub fn set_parallelism(&self, n: usize) {
-        self.parallelism
-            .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Toggle pack min/max pruning (thread-safe; ablations).
-    pub fn set_prune_enabled(&self, on: bool) {
-        self.prune_enabled
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Current scan parallelism.
-    pub fn get_parallelism(&self) -> usize {
-        self.parallelism.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Whether pruning is enabled.
-    pub fn get_prune_enabled(&self) -> bool {
-        self.prune_enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Toggle late-materialized scans (thread-safe; ablations).
-    pub fn set_late_materialization(&self, on: bool) {
-        self.late_mat_enabled
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether late materialization is enabled.
-    pub fn get_late_materialization(&self) -> bool {
-        self.late_mat_enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
+    /// Engine over a row store and, when given, a column store.
+    pub fn new(row: Arc<RowEngine>, store: Option<Arc<ColumnStore>>) -> QueryEngine {
+        QueryEngine { row, store }
     }
 
     /// Execute any SQL statement (DML auto-commits). **The** entry
@@ -183,7 +113,7 @@ impl QueryEngine {
         // shape (`SELECT cols FROM t WHERE pk = k`) before even lexing
         // — the full parse costs more than the lookup. Any mismatch or
         // failed name resolution falls through to the real parser.
-        if opts.engine.or(*self.force.lock()) != Some(EngineChoice::Column) {
+        if opts.engine != Some(EngineChoice::Column) {
             if let Some(ps) = parser::scan_point_select(sql) {
                 let out: Vec<(&str, Option<&str>)> = ps.cols.iter().map(|c| (*c, None)).collect();
                 if let Some(r) = self.point_lookup(ps.table, ps.filter_col, &out, ps.pk)? {
@@ -348,7 +278,7 @@ impl QueryEngine {
         // service tier's OLTP traffic; binding alone costs more than
         // the lookup. Anything the fast path cannot prove returns
         // `None` and falls through to the general path unchanged.
-        if opts.engine.or(*self.force.lock()) != Some(EngineChoice::Column) {
+        if opts.engine != Some(EngineChoice::Column) {
             if let Some(result) = self.try_point_select(s)? {
                 return Ok((result, EngineChoice::Row));
             }
@@ -395,18 +325,13 @@ impl QueryEngine {
         bind_select(s, &lookup, self)
     }
 
-    /// §6.1 intra-node routing: per-call pin, then node-global force,
-    /// then the row-plan cost estimate against the threshold.
+    /// §6.1 intra-node routing: the per-call pin, else the row-plan
+    /// cost estimate against [`COST_THRESHOLD`].
     fn route(&self, q: &BoundQuery, opts: &QueryOptions) -> EngineChoice {
-        match opts.engine.or(*self.force.lock()) {
+        match opts.engine {
             Some(c) => c,
-            None => {
-                if q.row_cost > self.cost_threshold && self.store.is_some() {
-                    EngineChoice::Column
-                } else {
-                    EngineChoice::Row
-                }
-            }
+            None if q.row_cost > COST_THRESHOLD && self.store.is_some() => EngineChoice::Column,
+            None => EngineChoice::Row,
         }
     }
 
@@ -578,8 +503,8 @@ impl QueryEngine {
 
     /// Build the column plan and execution context for a bound query:
     /// plan transform, snapshot pinning (one consistent snapshot per
-    /// table), then tuning — per-call options override the node-global
-    /// atomics, and the planner's [`PhysicalPlan::parallel_safe`] check
+    /// table), then tuning — per-call options override the executor's
+    /// defaults, and the planner's [`PhysicalPlan::parallel_safe`] check
     /// clamps parallelism to 1 for any plan shape without a
     /// parallel-safe merge. Shared by execution and `EXPLAIN`.
     fn column_plan_ctx(
@@ -603,17 +528,15 @@ impl QueryEngine {
             snaps.insert(bt.schema.table_id, Arc::new(idx.snapshot()));
         }
         let mut ctx = ExecContext::new(snaps);
-        ctx.parallelism = opts
-            .parallelism
-            .unwrap_or_else(|| self.get_parallelism())
-            .max(1);
-        if !plan.parallel_safe() {
-            ctx.parallelism = 1;
-        }
-        ctx.prune_enabled = opts.prune.unwrap_or_else(|| self.get_prune_enabled());
+        ctx.parallelism = match opts.parallelism {
+            _ if !plan.parallel_safe() => 1,
+            Some(n) => n.max(1),
+            None => ctx.parallelism,
+        };
+        ctx.prune_enabled = opts.prune.unwrap_or(ctx.prune_enabled);
         ctx.late_materialization = opts
             .late_materialization
-            .unwrap_or_else(|| self.get_late_materialization());
+            .unwrap_or(ctx.late_materialization);
         Ok((plan, ctx))
     }
 
@@ -730,11 +653,7 @@ mod tests {
         let fs = PolarFs::instant();
         let log = LogWriter::new(fs.clone(), PropagationMode::ReuseRedo);
         let row = RowEngine::new_rw(fs, log, 1 << 20);
-        let store = Arc::new(ColumnStore::new(256));
-        let qe = QueryEngine {
-            store: Some(store),
-            ..QueryEngine::row_only(row)
-        };
+        let qe = QueryEngine::new(row, Some(Arc::new(ColumnStore::new(256))));
         run(
             &qe,
             "CREATE TABLE items (
@@ -892,28 +811,39 @@ mod tests {
 
     #[test]
     fn cost_routing_prefers_column_for_scans() {
-        let mut qe = node();
-        qe.cost_threshold = 50.0;
+        let qe = node();
         seed(&qe, 200);
-        let res = run(
-            &qe,
-            "SELECT grp, SUM(price) FROM items GROUP BY grp ORDER BY grp",
-        )
-        .unwrap();
+        // An unindexed self-join is a nested-loop rescan on the row
+        // engine: 200 + 200 × 200 row visits, well past the threshold.
+        let sql = "SELECT COUNT(*) FROM items a JOIN items b ON a.qty = b.qty";
+        let explain = run(&qe, &format!("EXPLAIN {sql}")).unwrap();
+        let Value::Str(head) = &explain.rows[0][0] else {
+            panic!("{:?}", explain.rows[0]);
+        };
+        let cost = head.split(' ').find_map(|w| w.strip_prefix("cost="));
+        let cost: f64 = cost.unwrap().parse().unwrap();
+        assert!(cost > COST_THRESHOLD, "{head}");
+        let res = run(&qe, sql).unwrap();
         assert_eq!(res.engine, EngineChoice::Column);
+        // 10 qty values × 20 rows each, joined with themselves.
+        assert_eq!(res.rows, vec![vec![Value::Int(10 * 20 * 20)]]);
     }
 
     #[test]
     fn fallback_when_column_index_missing() {
-        let mut qe = node();
-        qe.cost_threshold = 0.0; // force column attempt
+        let qe = node();
         run(
             &qe,
             "CREATE TABLE bare (id INT NOT NULL, v INT, PRIMARY KEY(id))",
         )
         .unwrap();
         run(&qe, "INSERT INTO bare VALUES (1, 10), (2, 20)").unwrap();
-        let res = run(&qe, "SELECT v FROM bare ORDER BY v").unwrap();
+        let res = qe
+            .run(
+                "SELECT v FROM bare ORDER BY v",
+                &QueryOptions::forced(Some(EngineChoice::Column)),
+            )
+            .unwrap();
         assert_eq!(res.engine, EngineChoice::Row, "run-time fallback (§6.2)");
         assert_eq!(res.rows.len(), 2);
     }
@@ -982,27 +912,31 @@ mod tests {
     }
 
     #[test]
-    fn per_call_options_override_node_globals() {
+    fn every_option_combination_returns_the_same_rows() {
         let qe = node();
-        seed(&qe, 100);
-        let sql = "SELECT grp, COUNT(*) FROM items GROUP BY grp ORDER BY grp";
-        let baseline = qe
-            .run(sql, &QueryOptions::forced(Some(EngineChoice::Column)))
+        seed(&qe, 200);
+        let sql = "SELECT grp, COUNT(*), SUM(qty), MIN(name) FROM items
+                   WHERE qty > 2 GROUP BY grp ORDER BY grp";
+        let reference = qe
+            .run(sql, &QueryOptions::forced(Some(EngineChoice::Row)))
             .unwrap();
-        // Serial, no pruning, early materialization: same answer.
-        let tuned = qe
-            .run(
-                sql,
-                &QueryOptions {
-                    engine: Some(EngineChoice::Column),
-                    parallelism: Some(1),
-                    late_materialization: Some(false),
-                    prune: Some(false),
-                },
-            )
-            .unwrap();
-        assert_eq!(baseline.rows, tuned.rows);
-        // The per-call pin must not leak into the node-global force.
-        assert_eq!(*qe.force.lock(), None);
+        assert_eq!(reference.rows.len(), 5);
+        for engine in [EngineChoice::Row, EngineChoice::Column] {
+            for parallelism in [Some(1), None] {
+                for late_materialization in [Some(true), Some(false)] {
+                    for prune in [Some(true), Some(false)] {
+                        let opts = QueryOptions {
+                            engine: Some(engine),
+                            parallelism,
+                            late_materialization,
+                            prune,
+                        };
+                        let res = qe.run(sql, &opts).unwrap();
+                        assert_eq!(res.engine, engine, "{opts:?}");
+                        assert_eq!(res.rows, reference.rows, "{opts:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::plan::{AccessPath, BoundQuery, BoundTable};
 use imci_common::{Error, Result, Value};
-use imci_executor::{AggCall, AggFunc, ArithOp, Expr};
+use imci_executor::{Acc, ArithOp, Expr};
 use rowstore::RowEngine;
 
 /// Evaluate a bound expression against a single flat row.
@@ -232,7 +232,7 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
 
     // ---- aggregation ----
     let mut out_rows: Vec<Vec<Value>> = if !q.aggs.is_empty() || !q.group_by.is_empty() {
-        let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<RowAcc>> =
+        let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<Acc>> =
             std::collections::BTreeMap::new();
         for r in &rows {
             let key: Vec<Value> = q
@@ -242,7 +242,7 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
                 .collect::<Result<_>>()?;
             let accs = groups
                 .entry(key)
-                .or_insert_with(|| q.aggs.iter().map(RowAcc::new).collect());
+                .or_insert_with(|| q.aggs.iter().map(Acc::new).collect());
             for (acc, call) in accs.iter_mut().zip(&q.aggs) {
                 let arg = match &call.arg {
                     Some(a) => Some(eval_row(a, r)?),
@@ -252,12 +252,12 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
             }
         }
         if groups.is_empty() && q.group_by.is_empty() {
-            groups.insert(Vec::new(), q.aggs.iter().map(RowAcc::new).collect());
+            groups.insert(Vec::new(), q.aggs.iter().map(Acc::new).collect());
         }
         let mut out = Vec::with_capacity(groups.len());
         for (key, accs) in groups {
             let mut agg_row = key;
-            agg_row.extend(accs.into_iter().map(RowAcc::finish));
+            agg_row.extend(accs.into_iter().map(Acc::finish));
             let projected: Vec<Value> = q
                 .output
                 .iter()
@@ -293,115 +293,6 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
         out_rows.truncate(n);
     }
     Ok(out_rows)
-}
-
-enum RowAcc {
-    CountStar(i64),
-    Count(i64),
-    CountDistinct(std::collections::BTreeSet<Value>),
-    SumI(i64, bool),
-    SumF(f64, bool),
-    Avg(f64, i64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl RowAcc {
-    fn new(c: &AggCall) -> RowAcc {
-        match c.func {
-            AggFunc::CountStar => RowAcc::CountStar(0),
-            AggFunc::Count if c.distinct => RowAcc::CountDistinct(Default::default()),
-            AggFunc::Count => RowAcc::Count(0),
-            AggFunc::Sum => RowAcc::SumI(0, false),
-            AggFunc::Avg => RowAcc::Avg(0.0, 0),
-            AggFunc::Min => RowAcc::Min(None),
-            AggFunc::Max => RowAcc::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) {
-        match self {
-            RowAcc::CountStar(n) => *n += 1,
-            RowAcc::Count(n) => {
-                if matches!(v, Some(x) if !x.is_null()) {
-                    *n += 1;
-                }
-            }
-            RowAcc::CountDistinct(s) => {
-                if let Some(x) = v {
-                    if !x.is_null() {
-                        s.insert(x.clone());
-                    }
-                }
-            }
-            RowAcc::SumI(n, any) => match v {
-                Some(Value::Int(i)) => {
-                    *n += i;
-                    *any = true;
-                }
-                Some(Value::Double(d)) => {
-                    let cur = *n as f64 + d;
-                    *self = RowAcc::SumF(cur, true);
-                }
-                _ => {}
-            },
-            RowAcc::SumF(f, any) => {
-                if let Some(x) = v.and_then(|x| x.as_f64()) {
-                    *f += x;
-                    *any = true;
-                }
-            }
-            RowAcc::Avg(s, n) => {
-                if let Some(x) = v.and_then(|x| x.as_f64()) {
-                    *s += x;
-                    *n += 1;
-                }
-            }
-            RowAcc::Min(m) => {
-                if let Some(x) = v {
-                    if !x.is_null() && m.as_ref().is_none_or(|c| x < c) {
-                        *m = Some(x.clone());
-                    }
-                }
-            }
-            RowAcc::Max(m) => {
-                if let Some(x) = v {
-                    if !x.is_null() && m.as_ref().is_none_or(|c| x > c) {
-                        *m = Some(x.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            RowAcc::CountStar(n) | RowAcc::Count(n) => Value::Int(n),
-            RowAcc::CountDistinct(s) => Value::Int(s.len() as i64),
-            RowAcc::SumI(n, any) => {
-                if any {
-                    Value::Int(n)
-                } else {
-                    Value::Null
-                }
-            }
-            RowAcc::SumF(f, any) => {
-                if any {
-                    Value::Double(f)
-                } else {
-                    Value::Null
-                }
-            }
-            RowAcc::Avg(s, n) => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(s / n as f64)
-                }
-            }
-            RowAcc::Min(m) | RowAcc::Max(m) => m.unwrap_or(Value::Null),
-        }
-    }
 }
 
 #[cfg(test)]
