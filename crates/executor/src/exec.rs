@@ -31,8 +31,9 @@ pub struct ExecContext {
     pub snapshots: FxHashMap<TableId, Arc<Snapshot>>,
     /// Per-query cap on morsels in flight. The worker pool itself is
     /// process-global and machine-sized; this knob bounds how much of
-    /// it one query may occupy. `1` disables parallel dispatch and is
-    /// the serial ablation baseline.
+    /// it one query may occupy. The default leaves one core to the
+    /// write path (REDO apply, commits). `1` disables parallel dispatch
+    /// and is the serial ablation baseline.
     pub parallelism: usize,
     /// Min/max pack pruning (ablation switch).
     pub prune_enabled: bool,
@@ -43,12 +44,18 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// Context over the given snapshots with default tuning: the whole
-    /// worker pool, pruning and late materialization on.
+    /// Context over the given snapshots with default tuning: all but
+    /// one of the worker pool's threads (at least one), pruning and late
+    /// materialization on. Analytic work that takes every core delays
+    /// the transactions sharing the machine (Polynesia, PAPERS.md), and
+    /// a one-process cluster has no separate read-only machine.
     pub fn new(snapshots: FxHashMap<TableId, Arc<Snapshot>>) -> ExecContext {
         ExecContext {
             snapshots,
-            parallelism: morsel::WorkerPool::global().threads().max(1),
+            parallelism: morsel::WorkerPool::global()
+                .threads()
+                .saturating_sub(1)
+                .max(1),
             prune_enabled: true,
             late_materialization: true,
         }
@@ -1342,6 +1349,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn default_parallelism_leaves_one_core_free() {
+        let threads = morsel::WorkerPool::global().threads();
+        let ctx = ExecContext::new(FxHashMap::default());
+        assert_eq!(ctx.parallelism, threads.saturating_sub(1).max(1));
     }
 
     #[test]

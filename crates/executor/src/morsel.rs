@@ -14,6 +14,10 @@
 //!   (dynamic load balancing across uneven morsels) and writes its
 //!   result into the morsel's own slot, so output order is a function
 //!   of morsel index, never of thread scheduling.
+//!
+//! The pool keeps one thread per core, but a query's default
+//! `parallelism` is one less (at least one), leaving a core to the write
+//! path; an explicit `parallelism` may still use every thread.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -59,7 +63,8 @@ impl WorkerPool {
 
     /// The shared pool, created on first use and sized by the machine
     /// (`available_parallelism`). Queries cap their own share of it via
-    /// `ExecContext::parallelism`.
+    /// `ExecContext::parallelism`, which by default leaves one thread
+    /// idle.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| {

@@ -55,6 +55,30 @@ impl SecondaryIndex {
         self.lookup_range(v, v)
     }
 
+    /// Estimated entries one equality probe returns, for the cost
+    /// model: `entries / (max_key − min_key + 1)` with the span taken
+    /// over the non-NULL `Int`/`Date` keys, at least 1, and 1 for any
+    /// other key type or an empty index. The key span bounds the number
+    /// of distinct keys from above, so this bounds the mean matches per
+    /// probe from below (NULL entries, which no probe matches, still
+    /// count in `entries`). Reads only the map's ends: O(log n).
+    pub fn fanout(&self) -> f64 {
+        let m = self.map.read();
+        let first = m
+            .range((Bound::Excluded((Value::Null, i64::MAX)), Bound::Unbounded))
+            .next();
+        match (first, m.last_key_value()) {
+            (
+                Some(((Value::Int(lo) | Value::Date(lo), _), _)),
+                Some(((Value::Int(hi) | Value::Date(hi), _), _)),
+            ) => {
+                let span = (*hi as f64 - *lo as f64) + 1.0;
+                (m.len() as f64 / span).max(1.0)
+            }
+            _ => 1.0,
+        }
+    }
+
     /// Entry count.
     pub fn len(&self) -> usize {
         self.map.read().len()
@@ -200,6 +224,49 @@ mod tests {
         idx.remove(&Value::Int(10), 1);
         assert_eq!(idx.lookup_eq(&Value::Int(10)), vec![2]);
         assert_eq!(idx.len(), 3);
+    }
+
+    #[test]
+    fn fanout_of_dense_int_keys_is_entries_per_key() {
+        let idx = SecondaryIndex::new("s".into(), 1);
+        // 100 keys (0..=99), 300 entries each.
+        for pk in 0..30_000 {
+            idx.add(Value::Int(pk % 100), pk);
+        }
+        assert_eq!(idx.fanout(), 300.0);
+        // Dates count like ints; NULL keys do not widen the span.
+        let dates = SecondaryIndex::new("d".into(), 1);
+        for pk in 0..40 {
+            dates.add(Value::Date(10_000 + pk % 4), pk);
+        }
+        dates.add(Value::Null, 40);
+        assert_eq!(dates.fanout(), 41.0 / 4.0);
+    }
+
+    #[test]
+    fn fanout_of_sparse_keys_is_clamped_to_one() {
+        let idx = SecondaryIndex::new("s".into(), 1);
+        for pk in 0..10 {
+            idx.add(Value::Int(pk * 1_000), pk);
+        }
+        assert_eq!(idx.fanout(), 1.0);
+        // The widest span does not overflow.
+        idx.add(Value::Int(i64::MIN), 10);
+        idx.add(Value::Int(i64::MAX), 11);
+        assert_eq!(idx.fanout(), 1.0);
+    }
+
+    #[test]
+    fn fanout_of_string_keys_and_empty_index_is_one() {
+        let idx = SecondaryIndex::new("s".into(), 0);
+        assert_eq!(idx.fanout(), 1.0, "empty index");
+        for pk in 0..50 {
+            idx.add(Value::Str(format!("k{}", pk % 2)), pk);
+        }
+        assert_eq!(idx.fanout(), 1.0, "string keys");
+        let nulls = SecondaryIndex::new("n".into(), 0);
+        nulls.add(Value::Null, 1);
+        assert_eq!(nulls.fanout(), 1.0, "only NULL keys");
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub const COST_THRESHOLD: f64 = 10_000.0;
 /// Per-call options for [`QueryEngine::run`] — the one knob surface
 /// for engine routing and executor tuning. Every field defaults to
 /// `None`, meaning the executor's own default (cost-based routing,
-/// machine-sized parallelism, pruning and late materialization on); a
-/// `Some` travels with the call and is safe under concurrent sessions.
+/// all worker-pool threads but one, pruning and late materialization
+/// on); a `Some` travels with the call and is safe under concurrent
+/// sessions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Pin SELECTs to one engine (None = cost-based routing).
@@ -617,6 +618,14 @@ impl Stats for QueryEngine {
             .map(|rt| rt.approx_rows())
             .unwrap_or(0)
     }
+
+    fn probe_fanout(&self, schema: &Schema, col: usize) -> f64 {
+        self.row
+            .table(&schema.name)
+            .ok()
+            .and_then(|rt| rt.secondary_on(col).map(|ix| ix.fanout()))
+            .unwrap_or(1.0)
+    }
 }
 
 fn pk_from_filter(schema: &Schema, filter: &[ast::AstExpr]) -> Result<i64> {
@@ -680,14 +689,18 @@ mod tests {
             )
             .unwrap();
         }
-        // Mirror into the column index (on a single test node we play
-        // both RW and RO roles).
+        mirror(qe, "items");
+    }
+
+    /// Copy a table into the column index (on a single test node we
+    /// play both RW and RO roles).
+    fn mirror(qe: &QueryEngine, table: &str) {
         let store = qe.store.as_ref().unwrap();
-        let rt = qe.row.table("items").unwrap();
+        let rt = qe.row.table(table).unwrap();
         let idx = store.create_index(&rt.schema);
         let mut rows = Vec::new();
         qe.row
-            .scan("items", i64::MIN, i64::MAX, |_, r| rows.push(r.values))
+            .scan(table, i64::MIN, i64::MAX, |_, r| rows.push(r.values))
             .unwrap();
         for r in rows {
             idx.insert(imci_common::Vid(1), &idx.project_row(&r))
@@ -816,17 +829,58 @@ mod tests {
         // An unindexed self-join is a nested-loop rescan on the row
         // engine: 200 + 200 × 200 row visits, well past the threshold.
         let sql = "SELECT COUNT(*) FROM items a JOIN items b ON a.qty = b.qty";
-        let explain = run(&qe, &format!("EXPLAIN {sql}")).unwrap();
-        let Value::Str(head) = &explain.rows[0][0] else {
-            panic!("{:?}", explain.rows[0]);
-        };
-        let cost = head.split(' ').find_map(|w| w.strip_prefix("cost="));
-        let cost: f64 = cost.unwrap().parse().unwrap();
-        assert!(cost > COST_THRESHOLD, "{head}");
+        let (engine, cost) = explain_cost(&qe, sql);
+        assert!(cost > COST_THRESHOLD, "{engine:?} cost={cost}");
         let res = run(&qe, sql).unwrap();
         assert_eq!(res.engine, EngineChoice::Column);
         // 10 qty values × 20 rows each, joined with themselves.
         assert_eq!(res.rows, vec![vec![Value::Int(10 * 20 * 20)]]);
+    }
+
+    /// The route and `cost=` of a statement's EXPLAIN head line.
+    fn explain_cost(qe: &QueryEngine, sql: &str) -> (EngineChoice, f64) {
+        let explain = run(qe, &format!("EXPLAIN {sql}")).unwrap();
+        let Value::Str(head) = &explain.rows[0][0] else {
+            panic!("{:?}", explain.rows[0]);
+        };
+        let cost = head.split(' ').find_map(|w| w.strip_prefix("cost="));
+        (explain.engine, cost.unwrap().parse().unwrap())
+    }
+
+    #[test]
+    fn secondary_index_join_is_costed_by_its_fanout() {
+        let qe = node();
+        seed(&qe, 1000); // grp = id % 5: 200 entries per grp_idx key
+        run(
+            &qe,
+            "CREATE TABLE dims (id INT NOT NULL, g INT, PRIMARY KEY(id),
+             KEY COLUMN_INDEX(id, g))",
+        )
+        .unwrap();
+        let values: Vec<String> = (0..100).map(|i| format!("({i}, {})", i % 5)).collect();
+        run(
+            &qe,
+            &format!("INSERT INTO dims VALUES {}", values.join(", ")),
+        )
+        .unwrap();
+        mirror(&qe, "dims");
+
+        // Shaped like CH-Q5: scan the small table, probe the large one's
+        // secondary index. 100 scanned rows + 100 probes × 200 matches.
+        let sql = "SELECT d.g, SUM(i.qty) FROM dims d, items i
+                   WHERE i.grp = d.g GROUP BY d.g ORDER BY d.g";
+        assert_eq!(explain_cost(&qe, sql), (EngineChoice::Column, 20_100.0));
+        let res = run(&qe, sql).unwrap();
+        assert_eq!(res.engine, EngineChoice::Column);
+        let row = qe
+            .run(sql, &QueryOptions::forced(Some(EngineChoice::Row)))
+            .unwrap();
+        assert_eq!(res.rows, row.rows);
+
+        // A PK probe still costs one row per outer row.
+        let sql = "SELECT COUNT(*) FROM dims d, items i WHERE i.id = d.id";
+        assert_eq!(explain_cost(&qe, sql), (EngineChoice::Row, 200.0));
+        assert_eq!(run(&qe, sql).unwrap().rows, vec![vec![Value::Int(100)]]);
     }
 
     #[test]

@@ -21,6 +21,54 @@ use std::sync::Arc;
 pub trait Stats {
     /// Approximate live row count of a table.
     fn table_rows(&self, schema: &Schema) -> u64;
+    /// Estimated rows one equality probe of the secondary index on
+    /// column `col` returns (≥ 1; see `rowstore::SecondaryIndex::fanout`).
+    fn probe_fanout(&self, schema: &Schema, col: usize) -> f64;
+}
+
+/// How the row engine reaches a joined table's rows for each outer row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinProbe {
+    /// Primary-key lookup keyed by the outer row's flat column `outer`.
+    Pk {
+        /// Flat column of the outer row holding the key.
+        outer: usize,
+    },
+    /// Secondary-index equality probe on table column `col`.
+    Secondary {
+        /// Flat column of the outer row holding the key.
+        outer: usize,
+        /// Table column ordinal the index leads with.
+        col: usize,
+    },
+}
+
+/// The index probe that joins table `ji` to the tables before it: a
+/// join condition on the primary key, else the first one on a secondary
+/// index's leading column. `None` means no condition hits an index and
+/// the row engine rescans the table per outer row. The cost model and
+/// [`crate::row_exec::execute_row`] both ask this, so the cost charges
+/// the probe that runs.
+pub(crate) fn join_probe(
+    tables: &[BoundTable],
+    conds: &[(usize, usize)],
+    ji: usize,
+) -> Option<JoinProbe> {
+    let schema = &tables[ji].schema;
+    let local = |inner: usize| flat_to_local(inner, tables, ji);
+    if let Some(&(outer, _)) = conds
+        .iter()
+        .find(|&&(_, inner)| local(inner) == Some(schema.pk_col()))
+    {
+        return Some(JoinProbe::Pk { outer });
+    }
+    conds.iter().find_map(|&(outer, inner)| {
+        let col = local(inner)?;
+        schema
+            .secondary_indexes()
+            .any(|ix| ix.columns[0] == col)
+            .then_some(JoinProbe::Secondary { outer, col })
+    })
 }
 
 /// Access path the row engine would use for one table.
@@ -398,38 +446,20 @@ pub fn bind_select(
     }
 
     // ---- row-engine cost estimate ----
-    // Cost model: cumulative intermediate cardinality through the join
-    // order; index-driven joins cost lookups, unindexed joins cost a
-    // scan per outer row.
+    // Cost model: row visits through the join order. A PK lookup or PK
+    // probe visits one row per outer row, a secondary probe its fan-out
+    // per outer row, and anything else rescans its range or table per
+    // outer row (the first table runs once, `card` = 1).
     let mut row_cost = 0.0;
     let mut card = 1.0f64;
     for (ji, bt) in tables.iter().enumerate() {
-        let t_rows = stats.table_rows(&bt.schema).max(1) as f64;
-        match &bt.access {
-            AccessPath::PkLookup(_) => row_cost += card,
-            AccessPath::Secondary { .. } => row_cost += card * bt.est_rows.max(1.0),
-            AccessPath::FullScan => {
-                if ji == 0 {
-                    row_cost += t_rows;
-                } else {
-                    let has_join = !join_conds[ji].is_empty();
-                    let indexed = has_join
-                        && join_conds[ji].iter().any(|(_, inner)| {
-                            let local = flat_to_local(*inner, &tables, ji);
-                            local == Some(bt.schema.pk_col())
-                                || bt
-                                    .schema
-                                    .secondary_indexes()
-                                    .any(|ix| Some(ix.columns[0]) == local)
-                        });
-                    if indexed {
-                        row_cost += card; // one probe per outer row
-                    } else {
-                        row_cost += card * t_rows; // nested-loop scan
-                    }
-                }
-            }
-        }
+        row_cost += card
+            * match (&bt.access, join_probe(&tables, &join_conds[ji], ji)) {
+                (AccessPath::PkLookup(_), _) | (_, Some(JoinProbe::Pk { .. })) => 1.0,
+                (_, Some(JoinProbe::Secondary { col, .. })) => stats.probe_fanout(&bt.schema, col),
+                (AccessPath::Secondary { .. }, None) => bt.est_rows.max(1.0),
+                (AccessPath::FullScan, None) => stats.table_rows(&bt.schema).max(1) as f64,
+            };
         card *= bt.est_rows.max(1.0);
         card = card.min(1e15);
     }

@@ -7,7 +7,7 @@
 //! engine is compared against, and the engine the optimizer picks for
 //! point queries (paper §6.1).
 
-use crate::plan::{AccessPath, BoundQuery, BoundTable};
+use crate::plan::{join_probe, AccessPath, BoundQuery, BoundTable, JoinProbe};
 use imci_common::{Error, Result, Value};
 use imci_executor::{Acc, ArithOp, Expr};
 use rowstore::RowEngine;
@@ -166,45 +166,31 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
     }
 
     for (ji, bt) in q.tables.iter().enumerate().skip(1) {
-        let rt = engine.table(&bt.schema.name)?;
         let conds = &q.join_conds[ji];
         let flat_off = offsets[ji];
         let mut next: Vec<Vec<Value>> = Vec::new();
-        // Pre-compute how to probe: prefer a join key that hits the PK
-        // or a secondary index of the inner table.
-        let probe = conds.iter().find_map(|(outer, inner)| {
-            let local = bt.needed.get(inner - flat_off).copied()?;
-            if local == bt.schema.pk_col() {
-                Some((*outer, local, true))
-            } else if rt.secondary_on(local).is_some() {
-                Some((*outer, local, false))
-            } else {
-                None
-            }
-        });
+        // The probe the cost model charged for this table.
+        let probe = join_probe(&q.tables, conds, ji);
         for outer_row in rows {
-            let candidates: Vec<Vec<Value>> = match (&probe, &bt.access) {
+            let candidates: Vec<Vec<Value>> = match (probe, &bt.access) {
                 (_, AccessPath::PkLookup(pk)) => {
                     fetch_table_rows(engine, bt, &AccessPath::PkLookup(*pk))?
                 }
-                (Some((outer, local, is_pk)), _) => {
-                    let key = outer_row[*outer].clone();
-                    if *is_pk {
-                        match key.as_int() {
-                            Some(pk) => fetch_table_rows(engine, bt, &AccessPath::PkLookup(pk))?,
-                            None => Vec::new(),
-                        }
-                    } else {
-                        fetch_table_rows(
-                            engine,
-                            bt,
-                            &AccessPath::Secondary {
-                                col: *local,
-                                lo: key.clone(),
-                                hi: key,
-                            },
-                        )?
-                    }
+                (Some(JoinProbe::Pk { outer }), _) => match outer_row[outer].as_int() {
+                    Some(pk) => fetch_table_rows(engine, bt, &AccessPath::PkLookup(pk))?,
+                    None => Vec::new(),
+                },
+                (Some(JoinProbe::Secondary { outer, col }), _) => {
+                    let key = outer_row[outer].clone();
+                    fetch_table_rows(
+                        engine,
+                        bt,
+                        &AccessPath::Secondary {
+                            col,
+                            lo: key.clone(),
+                            hi: key,
+                        },
+                    )?
                 }
                 (None, access) => fetch_table_rows(engine, bt, access)?,
             };
