@@ -1878,4 +1878,102 @@ mod tests {
         assert!(vd < Duration::from_secs(5));
         c.shutdown();
     }
+
+    #[test]
+    fn ddl_writes_no_storage_object() {
+        // The REDO record is the only persisted trace of a DDL; storage
+        // objects are written by checkpoints alone.
+        let c = Cluster::start(ClusterConfig::default());
+        let puts = c.fs.stats().object_puts();
+        c.execute("CREATE TABLE plain (id INT NOT NULL, v INT, PRIMARY KEY(id))")
+            .unwrap();
+        c.execute("ALTER TABLE plain ADD COLUMN INDEX (id, v)")
+            .unwrap();
+        c.execute("DROP TABLE plain").unwrap();
+        assert!(c.wait_sync(Duration::from_secs(20)));
+        assert_eq!(c.fs.stats().object_puts(), puts);
+        c.shutdown();
+    }
+
+    /// Run `f` on the promoted writer's column-attachment pipeline.
+    fn with_attachment<T>(c: &Cluster, f: impl FnOnce(&Pipeline) -> T) -> T {
+        let rw = c.rw.read();
+        let node = rw.as_ref().expect("a writer is installed");
+        f(&node.column.as_ref().expect("promoted writer").pipeline)
+    }
+
+    /// Wait until the attachment has applied everything written so far.
+    fn attachment_catch_up(c: &Cluster) {
+        let target = c.written_lsn();
+        with_attachment(c, |p| {
+            let caught_up = p.wait_applied(target, Duration::from_secs(20));
+            assert!(caught_up, "{}", p.metrics().summary());
+        });
+    }
+
+    #[test]
+    fn promoted_writer_takes_ddl_into_its_column_store_only_from_the_log() {
+        // A promoted writer's attachment pipeline is the only writer of
+        // its column store. A DDL applied to the store beside it would
+        // race the attachment's still-buffered ops for the table, and
+        // each op that lost the race would be a silent apply error.
+        let c = small_cluster();
+        c.crash_rw();
+        c.failover().unwrap();
+        for round in 0..10 {
+            let t = format!("churn_{round}");
+            c.execute(&format!(
+                "CREATE TABLE {t} (id INT NOT NULL, v INT, PRIMARY KEY(id),
+                 KEY COLUMN_INDEX(id, v))"
+            ))
+            .unwrap();
+            // 200 rows in four transactions; the DROP follows the last
+            // commit at once, so the attachment still holds its ops.
+            for batch in 0..4 {
+                let rows: Vec<String> = (batch * 50..(batch + 1) * 50)
+                    .map(|i| format!("({i}, {round})"))
+                    .collect();
+                c.execute(&format!("INSERT INTO {t} VALUES {}", rows.join(", ")))
+                    .unwrap();
+            }
+            c.execute(&format!("DROP TABLE {t}")).unwrap();
+            attachment_catch_up(&c);
+            assert_eq!(with_attachment(&c, |p| p.error_count()), 0, "round {round}");
+        }
+
+        // ALTER under inserts the attachment has not applied yet: the
+        // index is built once, at the record's place in the log.
+        c.execute("CREATE TABLE grow (id INT NOT NULL, v INT, PRIMARY KEY(id))")
+            .unwrap();
+        for i in 0..100 {
+            c.execute(&format!("INSERT INTO grow VALUES ({i}, {i})"))
+                .unwrap();
+        }
+        let writer = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                for i in 100..2100 {
+                    c.execute(&format!("INSERT INTO grow VALUES ({i}, {i})"))
+                        .unwrap();
+                }
+            })
+        };
+        c.execute("ALTER TABLE grow ADD COLUMN INDEX (id, v)")
+            .unwrap();
+        writer.join().unwrap();
+        attachment_catch_up(&c);
+        let res = c
+            .execute_opts(
+                "SELECT COUNT(*) FROM grow",
+                ExecOpts {
+                    query: QueryOptions::forced(Some(EngineChoice::Column)),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(res.engine, EngineChoice::Column);
+        assert_eq!(res.rows[0][0], Value::Int(2100));
+        assert_eq!(with_attachment(&c, |p| p.error_count()), 0);
+        c.shutdown();
+    }
 }

@@ -384,8 +384,8 @@ impl Schema {
 
 /// A catalog change, shipped through the REDO stream as a first-class
 /// log record (the versioned-catalog design: schema changes are ordered
-/// with data changes in LSN order instead of being discovered
-/// out-of-band via lazy catalog refresh).
+/// with data changes in LSN order, and the log is the only way one
+/// reaches a replica).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DdlOp {
     /// A table was created; carries the full schema plus the meta page

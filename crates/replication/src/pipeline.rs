@@ -295,8 +295,8 @@ mod tests {
     }
 
     fn start_ro(fs: &PolarFs, cfg: ReplicationConfig) -> (Pipeline, Arc<ColumnStore>) {
-        // No catalog refresh, no manual index creation: the log's DDL
-        // records build both as the pipeline replays from offset 0.
+        // No manual catalog or index set-up: the log's DDL records
+        // build both as the pipeline replays from offset 0.
         let ro_engine = RowEngine::new_replica(fs.clone(), 1 << 20);
         let store = Arc::new(ColumnStore::new(1024));
         let p = Pipeline::start(
@@ -478,13 +478,12 @@ mod tests {
 
     #[test]
     fn ddl_after_start_never_loses_dml() {
-        // Regression for the lazy-pickup race: a table created *after*
-        // the RO pipeline started used to be discovered out-of-band
-        // (`let _ = refresh_catalog()` mid-apply), and committed DMLs
-        // racing that discovery were silently dropped — only an error
-        // counter moved. With DDL in the log, the CREATE's record
-        // strictly precedes the INSERT's entries, so every row must
-        // land, every round, with zero errors.
+        // A table created *after* the RO pipeline started reaches the
+        // replica only through its CREATE record, which strictly
+        // precedes the INSERT's entries in the log. So every row must
+        // land, every round, with zero errors: a DML applied before its
+        // table is known would be dropped, and only an error counter
+        // would move.
         let fs = PolarFs::instant();
         let log = LogWriter::new(fs.clone(), PropagationMode::ReuseRedo);
         let rw = RowEngine::new_rw(fs.clone(), log, 1 << 20);

@@ -13,16 +13,13 @@ use crate::bufferpool::BufferPool;
 use crate::table::TableRt;
 use crate::txn::{Txn, TxnManager, UndoOp};
 use imci_common::{
-    DataType, DdlOp, Error, FxHashMap, PageId, Result, Row, Schema, TableId, Value, Vid, SYSTEM_TID,
+    DdlOp, Error, FxHashMap, PageId, Result, Row, Schema, TableId, Value, Vid, SYSTEM_TID,
 };
 use imci_wal::{BinlogEvent, BinlogKind, LogWriter, PropagationMode, RedoPayload};
 use parking_lot::{Mutex, RwLock};
 use polarfs_sim::PolarFs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Object-store key of the persisted catalog.
-pub const CATALOG_KEY: &str = "catalog";
 
 /// A node's row storage engine.
 pub struct RowEngine {
@@ -174,31 +171,29 @@ impl RowEngine {
         name: &str,
         columns: Vec<imci_common::ColumnDef>,
         indexes: Vec<imci_common::IndexDef>,
-    ) -> Result<Arc<TableRt>> {
+    ) -> Result<()> {
         let _ddl = self.ddl_lock.lock();
         let lname = name.to_ascii_lowercase();
         if self.tables.read().contains_key(&lname) {
             return Err(Error::Catalog(format!("table {lname} already exists")));
         }
         let table_id = TableId(self.next_table_id.fetch_add(1, Ordering::SeqCst));
-        let schema = Schema::new(table_id, lname.clone(), columns, indexes)?;
+        let schema = Schema::new(table_id, lname, columns, indexes)?;
         let ctx = self.ctx_for(SYSTEM_TID, table_id);
         let tree = BTree::create(self.bp.clone(), self.page_alloc.clone(), &ctx)?;
-        let pending = self.append_ddl(&DdlOp::CreateTable {
-            schema: schema.clone(),
+        let op = DdlOp::CreateTable {
+            schema,
             meta_page: tree.meta_page(),
-        })?;
-        let rt = Arc::new(TableRt::new(schema, tree));
-        self.tables.write().insert(lname, rt.clone());
-        self.tables_by_id.write().insert(table_id, rt.clone());
-        self.persist_catalog();
+        };
+        let pending = self.append_ddl(&op)?;
+        self.install_ddl(&op)?;
         if let Some(txn) = pending {
             self.txns.commit(txn)?;
         }
-        Ok(rt)
+        Ok(())
     }
 
-    /// Drop a table (DDL). The table is removed from the local catalog
+    /// Drop a table (DDL). The table is claimed under its writer lock
     /// *before* the DDL record is appended, so in the log no DML of the
     /// table can follow its drop. Replicas destroy the row-table runtime
     /// and column index in LSN order with the data changes. The table's
@@ -221,13 +216,12 @@ impl RowEngine {
         // ids go back to the allocator only after the drop record is in
         // the log, so any reuse record strictly follows the drop.
         let pages = rt.tree.all_pages().unwrap_or_default();
-        self.tables.write().remove(&rt.schema.name);
-        self.tables_by_id.write().remove(&rt.schema.table_id);
-        let pending = self.append_ddl(&DdlOp::DropTable {
+        let op = DdlOp::DropTable {
             table_id: rt.schema.table_id,
             name: rt.schema.name.clone(),
-        })?;
-        self.persist_catalog();
+        };
+        let pending = self.append_ddl(&op)?;
+        self.install_ddl(&op)?;
         if let Some(txn) = pending {
             self.txns.commit(txn)?;
         }
@@ -240,49 +234,65 @@ impl RowEngine {
         Ok(())
     }
 
-    /// Register an already-existing table (used by replicas applying
-    /// DDL records and by checkpoint-catalog loading).
-    pub fn register_table(&self, schema: Schema, meta_page: imci_common::PageId) {
-        let rt = Arc::new(TableRt::new(
-            schema.clone(),
-            BTree::open(self.bp.clone(), self.page_alloc.clone(), meta_page),
-        ));
-        self.tables.write().insert(schema.name.clone(), rt.clone());
-        self.tables_by_id.write().insert(schema.table_id, rt);
-    }
-
     /// Replace a table's schema in place (online DDL such as
     /// `ALTER TABLE ... ADD COLUMN INDEX`, §3.3). Runtime state (tree,
     /// secondaries, counters) is preserved. The change ships through the
     /// REDO stream as a versioned DDL record, so replicas observe it in
-    /// LSN order — previously this mutated only the shared catalog
-    /// object, which replicas would never (re)read.
+    /// LSN order.
     pub fn replace_table_schema(&self, name: &str, schema: Schema) -> Result<()> {
         let _ddl = self.ddl_lock.lock();
-        let old = self.table(name)?;
-        let pending = self.append_ddl(&DdlOp::ReplaceSchema {
-            schema: schema.clone(),
-        })?;
-        let new_rt = Arc::new(TableRt::new(
-            schema.clone(),
-            BTree::open(
-                self.bp.clone(),
-                self.page_alloc.clone(),
-                old.tree.meta_page(),
-            ),
-        ));
-        new_rt
-            .row_counter
-            .store(old.approx_rows(), Ordering::SeqCst);
-        new_rt.rebuild_secondaries()?;
-        self.tables
-            .write()
-            .insert(schema.name.clone(), new_rt.clone());
-        self.tables_by_id.write().insert(schema.table_id, new_rt);
-        self.persist_catalog();
+        self.table(name)?;
+        let op = DdlOp::ReplaceSchema { schema };
+        let pending = self.append_ddl(&op)?;
+        self.install_ddl(&op)?;
         if let Some(txn) = pending {
             self.txns.commit(txn)?;
         }
+        Ok(())
+    }
+
+    /// Install a DDL's effect on this node's catalog maps: the one step
+    /// shared by the RW DDL methods (after [`RowEngine::append_ddl`]),
+    /// replica replay (after the version gate in
+    /// [`RowEngine::apply_ddl`]) and checkpoint-catalog import. Caller
+    /// must hold `ddl_lock`.
+    fn install_ddl(&self, op: &DdlOp) -> Result<()> {
+        let (schema, meta_page, old) = match op {
+            DdlOp::CreateTable { schema, meta_page } => (schema, *meta_page, None),
+            DdlOp::ReplaceSchema { schema } => {
+                let old = self.table_by_id(schema.table_id)?;
+                (schema, old.tree.meta_page(), Some(old))
+            }
+            DdlOp::DropTable { table_id, name } => {
+                // Remove the name entry only while it still maps to the
+                // dropped id: a reader-applied re-create of the same
+                // name (higher version, new id) may already own it.
+                let mut tables = self.tables.write();
+                if tables
+                    .get(name)
+                    .is_some_and(|rt| rt.schema.table_id == *table_id)
+                {
+                    tables.remove(name);
+                }
+                drop(tables);
+                self.tables_by_id.write().remove(table_id);
+                return Ok(());
+            }
+        };
+        let rt = Arc::new(TableRt::new(
+            schema.clone(),
+            BTree::open(self.bp.clone(), self.page_alloc.clone(), meta_page),
+        ));
+        if let Some(old) = old {
+            // A schema change keeps the tree; carry the row counter
+            // across and rebuild the secondaries the new schema declares.
+            rt.row_counter.store(old.approx_rows(), Ordering::SeqCst);
+            rt.rebuild_secondaries()?;
+        }
+        self.tables.write().insert(schema.name.clone(), rt.clone());
+        self.tables_by_id.write().insert(schema.table_id, rt);
+        self.next_table_id
+            .fetch_max(schema.table_id.get() + 1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -303,46 +313,7 @@ impl RowEngine {
         if version <= self.ddl_versions.read().get(&gate_id).copied().unwrap_or(0) {
             return Ok(false);
         }
-        match op {
-            DdlOp::CreateTable { schema, meta_page } => {
-                self.register_table(schema.clone(), *meta_page);
-                let id = schema.table_id.get();
-                self.next_table_id.fetch_max(id + 1, Ordering::SeqCst);
-            }
-            DdlOp::DropTable { table_id, name } => {
-                // Remove the name entry only while it still maps to the
-                // dropped id: a reader-applied re-create of the same
-                // name (higher version, new id) may already own it.
-                let mut tables = self.tables.write();
-                if tables
-                    .get(name)
-                    .is_some_and(|rt| rt.schema.table_id == *table_id)
-                {
-                    tables.remove(name);
-                }
-                drop(tables);
-                self.tables_by_id.write().remove(table_id);
-            }
-            DdlOp::ReplaceSchema { schema } => {
-                let old = self.table_by_id(schema.table_id)?;
-                let new_rt = Arc::new(TableRt::new(
-                    schema.clone(),
-                    BTree::open(
-                        self.bp.clone(),
-                        self.page_alloc.clone(),
-                        old.tree.meta_page(),
-                    ),
-                ));
-                new_rt
-                    .row_counter
-                    .store(old.approx_rows(), Ordering::SeqCst);
-                new_rt.rebuild_secondaries()?;
-                self.tables
-                    .write()
-                    .insert(schema.name.clone(), new_rt.clone());
-                self.tables_by_id.write().insert(schema.table_id, new_rt);
-            }
-        }
+        self.install_ddl(op)?;
         self.ddl_versions.write().insert(gate_id, version);
         self.catalog_version.fetch_max(version, Ordering::SeqCst);
         Ok(true)
@@ -379,13 +350,11 @@ impl RowEngine {
         let page_alloc = r.u64()?;
         let n = r.u32()? as usize;
         for _ in 0..n {
-            let meta = PageId(r.u64()?);
+            let meta_page = PageId(r.u64()?);
             let len = r.u32()? as usize;
             let (schema, _) = Schema::decode(r.take(len)?)?;
-            let id = schema.table_id;
-            self.register_table(schema, meta);
-            self.next_table_id.fetch_max(id.get() + 1, Ordering::SeqCst);
-            self.ddl_versions.write().insert(id, version);
+            self.ddl_versions.write().insert(schema.table_id, version);
+            self.install_ddl(&DdlOp::CreateTable { schema, meta_page })?;
         }
         self.catalog_version.fetch_max(version, Ordering::SeqCst);
         if page_alloc > 0 {
@@ -417,133 +386,6 @@ impl RowEngine {
         let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
         v.sort();
         v
-    }
-
-    fn persist_catalog(&self) {
-        let mut out = String::new();
-        for rt in self.tables.read().values() {
-            let s = &rt.schema;
-            out.push_str(&format!(
-                "table\t{}\t{}\t{}\n",
-                s.table_id.get(),
-                s.name,
-                rt.tree.meta_page().get()
-            ));
-            for c in &s.columns {
-                out.push_str(&format!("col\t{}\t{}\t{}\n", c.name, c.ty, c.nullable));
-            }
-            for i in &s.indexes {
-                let kind = match i.kind {
-                    imci_common::IndexKind::Primary => "primary",
-                    imci_common::IndexKind::Secondary => "secondary",
-                    imci_common::IndexKind::Column => "column",
-                };
-                let cols: Vec<String> = i.columns.iter().map(|c| c.to_string()).collect();
-                out.push_str(&format!("idx\t{}\t{}\t{}\n", kind, i.name, cols.join(",")));
-            }
-            out.push_str("end\n");
-        }
-        out.push_str(&format!(
-            "alloc\t{}\t{}\n",
-            self.page_alloc.high_water(),
-            self.next_table_id.load(Ordering::SeqCst)
-        ));
-        out.push_str(&format!(
-            "version\t{}\n",
-            self.catalog_version.load(Ordering::SeqCst)
-        ));
-        self.fs.put_object(CATALOG_KEY, bytes::Bytes::from(out));
-    }
-
-    /// (Re)load the catalog from the shared-storage catalog *object*.
-    /// Newly-seen tables are registered; existing ones are kept (their
-    /// runtime state stays).
-    ///
-    /// NOTE: replication no longer uses this — RO catalogs are versioned
-    /// with the REDO log via [`RedoPayload::Ddl`] records (created
-    /// nodes replay DDL from the log or import a checkpoint catalog
-    /// snapshot). This path remains for offline inspection and for
-    /// opening an engine directly over an existing volume.
-    pub fn refresh_catalog(&self) -> Result<()> {
-        let bytes = match self.fs.get_object(CATALOG_KEY) {
-            Ok(b) => b,
-            Err(_) => return Ok(()), // no tables yet
-        };
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| Error::Catalog(format!("catalog not utf8: {e}")))?;
-        let mut lines = text.lines().peekable();
-        while let Some(line) = lines.next() {
-            let parts: Vec<&str> = line.split('\t').collect();
-            match parts[0] {
-                "table" => {
-                    let id = TableId(
-                        parts[1]
-                            .parse()
-                            .map_err(|_| Error::Catalog("bad table id in catalog".into()))?,
-                    );
-                    let name = parts[2].to_string();
-                    let meta = imci_common::PageId(
-                        parts[3]
-                            .parse()
-                            .map_err(|_| Error::Catalog("bad meta page in catalog".into()))?,
-                    );
-                    let mut columns = Vec::new();
-                    let mut indexes = Vec::new();
-                    for l in lines.by_ref() {
-                        let p: Vec<&str> = l.split('\t').collect();
-                        match p[0] {
-                            "col" => columns.push(imci_common::ColumnDef {
-                                name: p[1].to_string(),
-                                ty: DataType::parse_sql(p[2])?,
-                                nullable: p[3] == "true",
-                            }),
-                            "idx" => {
-                                let kind = match p[1] {
-                                    "primary" => imci_common::IndexKind::Primary,
-                                    "secondary" => imci_common::IndexKind::Secondary,
-                                    _ => imci_common::IndexKind::Column,
-                                };
-                                let cols: Vec<usize> = if p[3].is_empty() {
-                                    Vec::new()
-                                } else {
-                                    p[3].split(',').map(|c| c.parse().unwrap_or(0)).collect()
-                                };
-                                indexes.push(imci_common::IndexDef {
-                                    kind,
-                                    name: p[2].to_string(),
-                                    columns: cols,
-                                });
-                            }
-                            "end" => break,
-                            other => {
-                                return Err(Error::Catalog(format!("bad catalog line: {other}")))
-                            }
-                        }
-                    }
-                    if !self.tables.read().contains_key(&name) {
-                        let schema = Schema::new(id, name, columns, indexes)?;
-                        self.register_table(schema, meta);
-                        let nid = self.next_table_id.load(Ordering::SeqCst);
-                        if id.get() >= nid {
-                            self.next_table_id.store(id.get() + 1, Ordering::SeqCst);
-                        }
-                    }
-                }
-                "alloc" => {
-                    let pa: u64 = parts[1].parse().unwrap_or(1);
-                    if pa > 0 {
-                        self.page_alloc.ensure_above(PageId(pa - 1));
-                    }
-                }
-                "version" => {
-                    let v: u64 = parts[1].parse().unwrap_or(0);
-                    self.catalog_version.fetch_max(v, Ordering::SeqCst);
-                }
-                "" => {}
-                other => return Err(Error::Catalog(format!("bad catalog line: {other}"))),
-            }
-        }
-        Ok(())
     }
 
     // ---- DML ----
@@ -778,7 +620,7 @@ impl RowEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imci_common::{ColumnDef, IndexDef, IndexKind};
+    use imci_common::{ColumnDef, DataType, IndexDef, IndexKind};
     use imci_wal::PropagationMode;
 
     fn demo_columns() -> (Vec<ColumnDef>, Vec<IndexDef>) {
@@ -936,7 +778,7 @@ mod tests {
         e.flush_all();
 
         let replica = RowEngine::new_replica(fs, 4096);
-        replica.refresh_catalog().unwrap();
+        replica.import_catalog(&e.export_catalog()).unwrap();
         let rt = replica.table("t").unwrap();
         assert_eq!(rt.schema.columns.len(), 3);
         assert_eq!(replica.row_count("t").unwrap(), 100);

@@ -21,7 +21,7 @@ use crate::protocol::{
 };
 use imci_cluster::{Cluster, ExecOpts};
 use imci_common::{Error, Result, Value};
-use imci_net::{Goodbye, InputBuf, NetConfig, NetServer, Proto, RunOutcome, ServiceStats, Step};
+use imci_net::{Goodbye, InputBuf, NetServer, Proto, RunOutcome, ServiceStats, Step};
 use imci_sql::{EngineChoice, QueryResult};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -45,46 +45,10 @@ pub const REPLAY_DEADLINE: Duration = Duration::from_secs(10);
 /// statements (exactly-once resend window).
 const STMT_JOURNAL_CAP: usize = 1024;
 
-/// Server construction knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bind address; port 0 picks a free port (see
-    /// [`Server::local_addr`]).
-    pub addr: String,
-    /// Statement-execution threads shared by all sessions.
-    pub workers: usize,
-    /// Event-loop (epoll) threads; connections spread round-robin.
-    pub reactors: usize,
-    /// Hard cap on concurrently open sessions; connections beyond it
-    /// are refused with a retryable `busy` error at accept.
-    pub max_connections: usize,
-    /// Cap on statements queued for execution across all sessions;
-    /// statements beyond it are answered with a retryable `busy` error
-    /// instead of growing the queue.
-    pub max_queued_statements: usize,
-    /// Close sessions with no inbound traffic for this long.
-    pub idle_timeout: Option<Duration>,
-    /// How long [`Server::shutdown`] waits for sessions to drain
-    /// before force-closing them.
-    pub drain_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 16,
-            reactors: cores.clamp(1, 4),
-            max_connections: 4096,
-            max_queued_statements: 1024,
-            idle_timeout: Some(Duration::from_secs(300)),
-            drain_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// Server construction knobs: the reactor tier's own configuration
+/// (bind address, reactor and worker threads, connection and queue
+/// budgets, idle and drain timeouts).
+pub use imci_net::NetConfig as ServerConfig;
 
 /// Service counters (observability for benches and tests). The
 /// connection-level counters are maintained by the service tier, the
@@ -106,18 +70,9 @@ impl Server {
             cluster,
             stats: stats.clone(),
         });
-        let net_config = NetConfig {
-            addr: config.addr.clone(),
-            reactors: config.reactors,
-            workers: config.workers,
-            max_connections: config.max_connections,
-            max_queued_statements: config.max_queued_statements,
-            idle_timeout: config.idle_timeout,
-            drain_timeout: config.drain_timeout,
-            ..NetConfig::default()
-        };
-        let net = NetServer::start(proto, net_config, stats.clone())
-            .map_err(|e| Error::Execution(format!("bind {}: {e}", config.addr)))?;
+        let addr = config.addr.clone();
+        let net = NetServer::start(proto, config, stats.clone())
+            .map_err(|e| Error::Execution(format!("bind {addr}: {e}")))?;
         Ok(Server { net, stats })
     }
 

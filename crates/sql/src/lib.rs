@@ -2,11 +2,12 @@
 //! and statement execution against one node (paper §6.1–§6.2).
 //!
 //! [`QueryEngine`] is the per-node entry point: DML and DDL run on the
-//! row engine (auto-commit), SELECTs are bound once and routed by the
-//! row-plan cost estimate — below the threshold they run on the
-//! row-at-a-time executor, above it they are transformed into a column
-//! plan and run on the batch engine, with run-time fallback to the row
-//! engine on column-engine errors (§6.2).
+//! row engine (auto-commit) and never touch the column store, whose
+//! side of a DDL arrives only through the log's DDL record. SELECTs are
+//! bound once and routed by the row-plan cost estimate — below the
+//! threshold they run on the row-at-a-time executor, above it they are
+//! transformed into a column plan and run on the batch engine, with
+//! run-time fallback to the row engine on column-engine errors (§6.2).
 
 pub mod ast;
 pub mod parser;
@@ -116,8 +117,7 @@ impl QueryEngine {
         // failed name resolution falls through to the real parser.
         if opts.engine != Some(EngineChoice::Column) {
             if let Some(ps) = parser::scan_point_select(sql) {
-                let out: Vec<(&str, Option<&str>)> = ps.cols.iter().map(|c| (*c, None)).collect();
-                if let Some(r) = self.point_lookup(ps.table, ps.filter_col, &out, ps.pk)? {
+                if let Some(r) = self.point_lookup(ps.table, ps.filter_col, &ps.cols, ps.pk)? {
                     return Ok(r);
                 }
             }
@@ -178,14 +178,7 @@ impl QueryEngine {
                 Ok(QueryResult::dml(0))
             }
             Statement::DropTable { table } => {
-                let table_id = self.row.table(table)?.schema.table_id;
                 self.row.drop_table(table)?;
-                if let Some(store) = &self.store {
-                    // Single-node engines (RW playing both roles in
-                    // tests/benches) drop their local index too; RO
-                    // nodes do this via the replicated DDL record.
-                    store.remove_index(table_id);
-                }
                 Ok(QueryResult::dml(0))
             }
             Statement::Insert { table, rows } => {
@@ -273,17 +266,6 @@ impl QueryEngine {
         s: &SelectStmt,
         opts: &QueryOptions,
     ) -> Result<(QueryResult, EngineChoice)> {
-        // Point-read fast path: a single-table pk-equality SELECT of
-        // plain columns skips bind/plan entirely and hits the row
-        // store's pk index directly. This is the hot shape of the
-        // service tier's OLTP traffic; binding alone costs more than
-        // the lookup. Anything the fast path cannot prove returns
-        // `None` and falls through to the general path unchanged.
-        if opts.engine != Some(EngineChoice::Column) {
-            if let Some(result) = self.try_point_select(s)? {
-                return Ok((result, EngineChoice::Row));
-            }
-        }
         let q = self.bind(s)?;
         let choice = self.route(&q, opts);
         if choice == EngineChoice::Column {
@@ -408,67 +390,14 @@ impl QueryEngine {
         })
     }
 
-    /// Try the point-read fast path: `SELECT <plain cols> FROM <one
-    /// table> WHERE <pk> = <int literal>` (optionally qualified,
-    /// aliased, or LIMITed). Returns `Ok(None)` when the statement
-    /// doesn't fit, deferring every error report to the general
-    /// bind/plan path so messages stay identical.
-    fn try_point_select(&self, s: &SelectStmt) -> Result<Option<QueryResult>> {
-        if s.from.len() != 1
-            || !s.join_on.is_empty()
-            || !s.group_by.is_empty()
-            || !s.order_by.is_empty()
-            || s.limit == Some(0)
-            || s.items.is_empty()
-        {
-            return Ok(None);
-        }
-        let tref = &s.from[0];
-        let qualifier_ok = |c: &ast::ColRef| match &c.qualifier {
-            None => true,
-            Some(q) => q == &tref.alias || q == &tref.table,
-        };
-        // WHERE <pk col> = <int literal> (either operand order).
-        let Some(ast::AstExpr::Binary { op, l, r }) = &s.filter else {
-            return Ok(None);
-        };
-        if op != "=" {
-            return Ok(None);
-        }
-        let (fcol, lit) = match (&**l, &**r) {
-            (ast::AstExpr::Col(c), ast::AstExpr::Lit(v))
-            | (ast::AstExpr::Lit(v), ast::AstExpr::Col(c)) => (c, v),
-            _ => return Ok(None),
-        };
-        let &Value::Int(pk) = lit else {
-            return Ok(None);
-        };
-        if !qualifier_ok(fcol) {
-            return Ok(None);
-        }
-        let mut out = Vec::with_capacity(s.items.len());
-        for item in &s.items {
-            let ast::AstExpr::Col(c) = &item.expr else {
-                return Ok(None); // expressions/aggregates: general path
-            };
-            if !qualifier_ok(c) {
-                return Ok(None);
-            }
-            out.push((c.column.as_str(), item.alias.as_deref()));
-        }
-        self.point_lookup(&tref.table, &fcol.column, &out, pk)
-    }
-
-    /// Shared core of the point-read fast path: resolve names against
-    /// the catalog and answer from the row store's pk index. `Ok(None)`
-    /// whenever resolution fails — the general path owns error
-    /// reporting (and the cluster's catalog-refresh retry relies on
-    /// the general path's `Error::Catalog`).
+    /// Answer a [`parser::scan_point_select`] match from the row
+    /// store's pk index. `Ok(None)` whenever name resolution fails: the
+    /// general path owns error reporting, so messages stay the binder's.
     fn point_lookup(
         &self,
         table: &str,
         filter_col: &str,
-        out: &[(&str, Option<&str>)],
+        cols: &[&str],
         pk: i64,
     ) -> Result<Option<QueryResult>> {
         let Ok(rt) = self.row.table(table) else {
@@ -478,14 +407,14 @@ impl QueryEngine {
         if schema.col_index(filter_col) != Some(schema.pk_col()) {
             return Ok(None); // not keyed on the pk: needs the planner
         }
-        let mut proj = Vec::with_capacity(out.len());
-        let mut columns = Vec::with_capacity(out.len());
-        for (name, alias) in out {
+        let mut proj = Vec::with_capacity(cols.len());
+        let mut columns = Vec::with_capacity(cols.len());
+        for name in cols {
             let Some(idx) = schema.col_index(name) else {
                 return Ok(None); // unknown column: let bind report it
             };
             proj.push(idx);
-            columns.push(alias.unwrap_or(name).to_ascii_lowercase());
+            columns.push(name.to_ascii_lowercase());
         }
         let rows = match rt.tree.get(pk)? {
             Some(img) => {
@@ -566,9 +495,11 @@ impl QueryEngine {
     }
 
     /// §3.3 online `ALTER TABLE ... ADD COLUMN INDEX`: register the new
-    /// index in the schema and (on nodes with a column store) build it
-    /// by a consistent scan of the row store.
-    pub fn alter_add_column_index(&self, table: &str, columns: &[String]) -> Result<()> {
+    /// index in the schema. The change ships as a DDL record; every
+    /// column store (RO nodes and a promoted writer's attachment)
+    /// builds the index when its pipeline applies that record, at its
+    /// position in the log.
+    fn alter_add_column_index(&self, table: &str, columns: &[String]) -> Result<()> {
         let rt = self.row.table(table)?;
         let mut schema = rt.schema.clone();
         let cols: Vec<usize> = columns
@@ -585,21 +516,7 @@ impl QueryEngine {
             name: "column_index".into(),
             columns: cols,
         });
-        self.row.replace_table_schema(table, schema.clone())?;
-        if let Some(store) = &self.store {
-            let mut rows = Vec::new();
-            self.row.scan(table, i64::MIN, i64::MAX, |_, row| {
-                rows.push(row.values);
-            })?;
-            let idx = imci_core::build_from_rows(
-                &schema,
-                store.group_capacity(),
-                imci_common::Vid(self.row.txns.last_commit_vid().get()),
-                rows.into_iter(),
-            )?;
-            store.install(idx);
-        }
-        Ok(())
+        self.row.replace_table_schema(table, schema)
     }
 }
 

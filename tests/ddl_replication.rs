@@ -1,7 +1,7 @@
 //! Versioned catalog replication: DDL ships through the REDO stream and
 //! is applied by RO nodes in LSN order with the data changes. These
-//! tests pin the end-to-end guarantees that replaced the lazy
-//! catalog-refresh paths (which had DML-loss and stale-sibling races).
+//! tests pin the end-to-end guarantees: no DML is lost to a table a
+//! replica does not know yet, and no RO node serves a stale catalog.
 
 use polardb_imci::{Cluster, ClusterConfig, Consistency, Error, ExecOpts, Value};
 use proptest::prelude::*;
@@ -15,12 +15,11 @@ fn strong() -> ExecOpts {
     }
 }
 
-/// The headline regression: `CREATE TABLE; INSERT; SELECT @strong` must
+/// The headline guarantee: `CREATE TABLE; INSERT; SELECT @strong` must
 /// never lose the row, on any RO node, no matter how soon the read
-/// follows the DDL. Before DDL-in-log, the pipeline picked the table up
-/// lazily mid-apply (`let _ = refresh_catalog()`), silently dropping
-/// committed DMLs that raced the pickup, and the proxy's catalog-miss
-/// retry repaired only the routed node.
+/// follows the DDL. The CREATE's record precedes the INSERT's entries
+/// in the log, so every replica knows the table before its first DML,
+/// and the strong read fences on the DDL's commit like on the INSERT's.
 #[test]
 fn create_insert_strong_select_never_loses_rows() {
     let c = Cluster::start(ClusterConfig {
