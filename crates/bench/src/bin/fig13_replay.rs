@@ -145,11 +145,13 @@ fn main() {
     // No catalog refresh: the CREATE TABLE's DDL record is in the log
     // and registers the table during replay.
     let ro = RowEngine::new_replica(fs2.clone(), 1 << 20);
-    let mut reader = imci_wal::LogReader::new(fs2.clone(), 0);
-    let entries: Vec<RedoEntry> = reader.read_available();
+    let mut frames = Vec::new();
+    imci_wal::LogReader::new(fs2.clone(), 0)
+        .read_frames_until(u64::MAX, &mut frames)
+        .unwrap();
     let t = Instant::now();
     let mut applied = 0u64;
-    for e in &entries {
+    for (e, _) in &frames {
         if rowstore::apply_entry(&ro, e).unwrap().is_some() {
             applied += 1;
         }
@@ -162,7 +164,7 @@ fn main() {
     let t = Instant::now();
     let mut pos = 0usize;
     let mut parsed = 0u64;
-    while let Ok(Some((_e, used))) = RedoEntry::decode(&raw[pos..]) {
+    while let Some((_e, used)) = RedoEntry::decode(&raw[pos..]).unwrap() {
         pos += used;
         parsed += 1;
     }

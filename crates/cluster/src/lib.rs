@@ -522,15 +522,12 @@ impl Cluster {
         let epoch = self.fs.bump_epoch();
         let node = {
             let mut ros = self.ros.write();
-            if ros.is_empty() {
-                return Err(Error::Failover("no RO node available to promote".into()));
-            }
             let best = ros
                 .iter()
                 .enumerate()
                 .max_by_key(|(_, n)| n.applied_lsn())
                 .map(|(i, _)| i)
-                .expect("non-empty");
+                .ok_or_else(|| Error::Failover("no RO node available to promote".into()))?;
             ros.remove(best)
         };
         let t_drain = Instant::now();
@@ -812,28 +809,21 @@ impl Cluster {
     /// level — the per-session enforcement point of §6.4.
     pub fn route_ro_with(&self, consistency: Consistency) -> Result<Arc<RoNode>> {
         let ros = self.ros.read();
-        if ros.is_empty() {
-            return Err(Error::Execution("no RO nodes available".into()));
-        }
         let target = self.written_lsn();
-        let eligible: Vec<&Arc<RoNode>> = match consistency {
-            Consistency::Eventual => ros.iter().collect(),
-            Consistency::Strong => ros.iter().filter(|n| n.applied_lsn() >= target).collect(),
-        };
-        let pick = |nodes: &[&Arc<RoNode>]| -> Arc<RoNode> {
-            nodes
-                .iter()
+        let least_loaded = |caught_up_only: bool| {
+            ros.iter()
+                .filter(|n| !caught_up_only || n.applied_lsn() >= target)
                 .min_by_key(|n| n.sessions.load(Ordering::Relaxed))
-                .map(|n| Arc::clone(n))
-                .expect("non-empty")
+                .cloned()
         };
-        if !eligible.is_empty() {
-            return Ok(pick(&eligible));
+        if let Some(node) = least_loaded(consistency == Consistency::Strong) {
+            return Ok(node);
         }
         // Strong consistency with lagging ROs: park (condvar, not a
         // spin — a busy-wait here burns a core per blocked read) until
         // one catches up.
-        let node = pick(&ros.iter().collect::<Vec<_>>());
+        let node =
+            least_loaded(false).ok_or_else(|| Error::Execution("no RO nodes available".into()))?;
         drop(ros);
         if !node.pipeline.wait_applied(target, Duration::from_secs(30)) {
             return Err(Error::Execution("strong consistency wait timed out".into()));

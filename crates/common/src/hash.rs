@@ -1,10 +1,9 @@
 //! A small FxHash-style hasher.
 //!
-//! The replication dispatchers (paper §5.2–5.4) route work by
-//! `hash(page_id) % N` (Phase 1) and `hash(primary_key) % N` (Phase 2).
-//! These are extremely hot paths, so we use the multiply-xor scheme from
-//! rustc's FxHash rather than SipHash. HashDoS is not a concern: keys are
-//! internal identifiers, never attacker-controlled strings.
+//! Hot maps — transaction, table and page ids on the write and
+//! replication paths, join and group keys in the executor — use the
+//! multiply-xor scheme from rustc's FxHash rather than SipHash. HashDoS
+//! resistance is out of scope for this reproduction.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -31,11 +30,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add_word(u64::from_le_bytes(c.try_into().unwrap()));
+        let (words, rem) = bytes.as_chunks::<8>();
+        for &w in words {
+            self.add_word(u64::from_le_bytes(w));
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
             buf[..rem.len()].copy_from_slice(rem);
@@ -71,48 +69,34 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Hash a single `u64` (used for `hash(page_id) % workers` dispatch).
-#[inline]
-pub fn fx_hash_u64(v: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(v);
-    h.finish()
-}
-
-/// Hash a byte slice (used for `hash(primary_key) % workers` dispatch
-/// when the key is composite).
-#[inline]
-pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
+
+    fn hash<T: std::hash::Hash>(v: T) -> u64 {
+        FxBuildHasher::default().hash_one(v)
+    }
 
     #[test]
     fn deterministic() {
-        assert_eq!(fx_hash_u64(42), fx_hash_u64(42));
-        assert_eq!(fx_hash_bytes(b"hello"), fx_hash_bytes(b"hello"));
+        assert_eq!(hash(42u64), hash(42u64));
+        assert_eq!(hash(b"hello"), hash(b"hello"));
     }
 
     #[test]
     fn distinct_inputs_usually_differ() {
-        let a = fx_hash_u64(1);
-        let b = fx_hash_u64(2);
-        assert_ne!(a, b);
+        assert_ne!(hash(1u64), hash(2u64));
     }
 
     #[test]
     fn spreads_sequential_keys_across_buckets() {
-        // Dispatch quality check: sequential PKs must not all land in the
-        // same worker bucket, or Phase-2 parallelism collapses.
-        const WORKERS: usize = 8;
-        let mut counts = [0usize; WORKERS];
+        // Sequential keys must not all land in the same bucket, or
+        // maps keyed by ids degrade to long probe chains.
+        const BUCKETS: usize = 8;
+        let mut counts = [0usize; BUCKETS];
         for pk in 0..8000u64 {
-            counts[(fx_hash_u64(pk) % WORKERS as u64) as usize] += 1;
+            counts[(hash(pk) % BUCKETS as u64) as usize] += 1;
         }
         for &c in &counts {
             // Perfectly uniform would be 1000 per bucket; allow wide slack.
@@ -125,9 +109,7 @@ mod tests {
     fn byte_hash_handles_non_multiple_of_8() {
         for len in 0..32 {
             let data: Vec<u8> = (0..len as u8).collect();
-            let h1 = fx_hash_bytes(&data);
-            let h2 = fx_hash_bytes(&data);
-            assert_eq!(h1, h2);
+            assert_eq!(hash(&data[..]), hash(&data[..]));
         }
     }
 }

@@ -10,8 +10,8 @@
 //!   the insert/delete VID maps for MVCC visibility (§4.1).
 //!
 //! All are thin wrappers over `u64` so that they stay `Copy` and cheap,
-//! while the newtypes prevent the classic bug of mixing, say, an LSN with
-//! a RID in the dispatcher's modular hashing.
+//! while the newtypes prevent the classic bug of mixing, say, an LSN
+//! with a RID when comparing watermarks or keying a map.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

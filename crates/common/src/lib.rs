@@ -4,9 +4,11 @@
 //! SQL values and data types ([`Value`], [`DataType`]), table schemas
 //! ([`Schema`], [`ColumnDef`]), strongly-typed identifiers ([`Lsn`],
 //! [`Tid`], [`PageId`], [`Rid`], [`Vid`]), the workspace-wide error type
-//! ([`Error`]), and a fast non-cryptographic hasher used for dispatch
-//! decisions in the replication pipeline.
+//! ([`Error`]), the byte codec every stored format decodes through
+//! ([`codec`]), and a fast non-cryptographic hasher for hot in-memory
+//! maps.
 
+pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod ids;
@@ -14,9 +16,10 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
+pub use codec::ByteReader;
 pub use error::{Error, Result};
-pub use hash::{fx_hash_bytes, fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{Csn, Lsn, PageId, Rid, TableId, Tid, Vid, INVALID_VID, SYSTEM_TID};
 pub use row::{Row, RowDiff};
-pub use schema::{ByteReader, ColumnDef, DdlOp, IndexDef, IndexKind, Schema};
+pub use schema::{ColumnDef, DdlOp, IndexDef, IndexKind, Schema};
 pub use value::{DataType, Value};

@@ -11,6 +11,7 @@
 //! * Double: 8-byte little-endian IEEE bits
 //! * Str: u32 LE length + UTF-8 bytes
 
+use crate::codec::{put_i64, put_str, put_u32, put_u64, ByteReader};
 use crate::error::{Error, Result};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -36,7 +37,7 @@ impl Row {
     /// Encode to the canonical byte image.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.values.len() * 9 + 4);
-        out.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.values.len() as u32);
         for v in &self.values {
             encode_value(v, &mut out);
         }
@@ -45,15 +46,9 @@ impl Row {
 
     /// Decode from the canonical byte image.
     pub fn decode(bytes: &[u8]) -> Result<Row> {
-        let mut cur = Cursor { buf: bytes, pos: 0 };
-        let n = cur.read_u32()? as usize;
-        if n > 4096 {
-            return Err(Error::Storage(format!("row width {n} implausible")));
-        }
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(decode_value(&mut cur)?);
-        }
+        let mut r = ByteReader::new(bytes, "row image");
+        // Every value is at least its tag byte.
+        let values = r.list_u32(1, decode_value)?;
         Ok(Row { values })
     }
 }
@@ -70,66 +65,32 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
         Value::Null => out.push(0),
         Value::Int(x) => {
             out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
+            put_i64(out, *x);
         }
         Value::Double(x) => {
             out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            put_u64(out, x.to_bits());
         }
         Value::Str(s) => {
             out.push(3);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Date(x) => {
             out.push(4);
-            out.extend_from_slice(&x.to_le_bytes());
+            put_i64(out, *x);
         }
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(Error::Storage("row image truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn read_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn read_i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-fn decode_value(cur: &mut Cursor<'_>) -> Result<Value> {
-    match cur.read_u8()? {
+#[inline]
+fn decode_value(r: &mut ByteReader<'_>) -> Result<Value> {
+    match r.u8()? {
         0 => Ok(Value::Null),
-        1 => Ok(Value::Int(cur.read_i64()?)),
-        2 => Ok(Value::Double(f64::from_bits(cur.read_i64()? as u64))),
-        3 => {
-            let len = cur.read_u32()? as usize;
-            let bytes = cur.take(len)?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|e| Error::Storage(format!("row image bad utf8: {e}")))?;
-            Ok(Value::Str(s.to_owned()))
-        }
-        4 => Ok(Value::Date(cur.read_i64()?)),
-        t => Err(Error::Storage(format!("row image bad value tag {t}"))),
+        1 => Ok(Value::Int(r.i64()?)),
+        2 => Ok(Value::Double(f64::from_bits(r.u64()?))),
+        3 => Ok(Value::Str(r.str()?)),
+        4 => Ok(Value::Date(r.i64()?)),
+        t => Err(r.error(format_args!("bad value tag {t}"))),
     }
 }
 
@@ -192,10 +153,10 @@ impl RowDiff {
                 if off > old.len() || off > self.new_len as usize {
                     return Err(Error::Storage("diff offset out of range".into()));
                 }
-                let suffix_len = self.new_len as usize - off - bytes.len();
-                if suffix_len > old.len() {
-                    return Err(Error::Storage("diff suffix out of range".into()));
-                }
+                let suffix_len = (self.new_len as usize)
+                    .checked_sub(off + bytes.len())
+                    .filter(|&n| n <= old.len())
+                    .ok_or_else(|| Error::Storage("diff suffix out of range".into()))?;
                 out.extend_from_slice(&old[..off]);
                 out.extend_from_slice(bytes);
                 out.extend_from_slice(&old[old.len() - suffix_len..]);
@@ -282,5 +243,15 @@ mod tests {
         let e = sample_row().encode();
         let diff = RowDiff::between(&[], &e);
         assert_eq!(diff.apply(&[]).unwrap(), e);
+    }
+
+    #[test]
+    fn corrupt_diff_is_an_error() {
+        // The splice is longer than the new image it claims to build.
+        let diff = RowDiff {
+            new_len: 2,
+            splices: vec![(1, vec![7, 7, 7])],
+        };
+        assert!(diff.apply(&[1, 2, 3]).is_err());
     }
 }

@@ -4,6 +4,7 @@
 //! primary key index, optional secondary indexes, and an optional
 //! *column index* covering a chosen subset of columns.
 
+use crate::codec::{put_str, put_u32, put_u64, ByteReader};
 use crate::error::{Error, Result};
 use crate::ids::{PageId, TableId};
 use crate::value::{DataType, Value};
@@ -217,66 +218,6 @@ impl Schema {
 
 // ---- binary codec (DDL log records, catalog snapshots) ----
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Minimal bounds-checked cursor over a byte slice, shared by the
-/// schema/DDL codecs and the rowstore's catalog-snapshot codec.
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Start reading at the front of `buf`.
-    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Consume exactly `n` bytes; errors when the buffer is short.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(Error::Storage("byte stream truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Consume one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Consume a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Consume a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Consume a u32-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|e| Error::Storage(format!("string not utf8: {e}")))
-    }
-}
-
 fn datatype_tag(ty: DataType) -> u8 {
     match ty {
         DataType::Int => 0,
@@ -318,66 +259,58 @@ impl Schema {
     /// checkpoint catalog snapshots.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&self.table_id.get().to_le_bytes());
-        put_str(&mut out, &self.name);
-        put_u32(&mut out, self.columns.len() as u32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.table_id.get());
+        put_str(out, &self.name);
+        put_u32(out, self.columns.len() as u32);
         for c in &self.columns {
-            put_str(&mut out, &c.name);
+            put_str(out, &c.name);
             out.push(datatype_tag(c.ty));
             out.push(c.nullable as u8);
         }
-        put_u32(&mut out, self.indexes.len() as u32);
+        put_u32(out, self.indexes.len() as u32);
         for i in &self.indexes {
             out.push(indexkind_tag(i.kind));
-            put_str(&mut out, &i.name);
-            put_u32(&mut out, i.columns.len() as u32);
+            put_str(out, &i.name);
+            put_u32(out, i.columns.len() as u32);
             for &c in &i.columns {
-                put_u32(&mut out, c as u32);
+                put_u32(out, c as u32);
             }
         }
-        out
     }
 
     /// Decode a schema from the front of `buf`; returns the schema and
     /// the number of bytes consumed. Validates the same invariants as
     /// [`Schema::new`].
     pub fn decode(buf: &[u8]) -> Result<(Schema, usize)> {
-        let mut r = ByteReader { buf, pos: 0 };
+        let mut r = ByteReader::new(buf, "schema");
         let schema = Schema::decode_reader(&mut r)?;
-        Ok((schema, r.pos))
+        Ok((schema, r.position()))
     }
 
     fn decode_reader(r: &mut ByteReader<'_>) -> Result<Schema> {
         let table_id = TableId(r.u64()?);
         let name = r.str()?;
-        let n_cols = r.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let cname = r.str()?;
-            let ty = datatype_from_tag(r.u8()?)?;
-            let nullable = r.u8()? != 0;
-            columns.push(ColumnDef {
-                name: cname,
-                ty,
-                nullable,
-            });
-        }
-        let n_idx = r.u32()? as usize;
-        let mut indexes = Vec::with_capacity(n_idx);
-        for _ in 0..n_idx {
-            let kind = indexkind_from_tag(r.u8()?)?;
-            let iname = r.str()?;
-            let nc = r.u32()? as usize;
-            let mut cols = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                cols.push(r.u32()? as usize);
-            }
-            indexes.push(IndexDef {
-                kind,
-                name: iname,
-                columns: cols,
-            });
-        }
+        // Name length + type tag + nullable flag.
+        let columns = r.list_u32(6, |r| {
+            Ok(ColumnDef {
+                name: r.str()?,
+                ty: datatype_from_tag(r.u8()?)?,
+                nullable: r.u8()? != 0,
+            })
+        })?;
+        // Kind tag + name length + column count.
+        let indexes = r.list_u32(9, |r| {
+            Ok(IndexDef {
+                kind: indexkind_from_tag(r.u8()?)?,
+                name: r.str()?,
+                columns: r.list_u32(4, |r| Ok(r.u32()? as usize))?,
+            })
+        })?;
         Schema::new(table_id, name, columns, indexes)
     }
 }
@@ -427,17 +360,17 @@ impl DdlOp {
         match self {
             DdlOp::CreateTable { schema, meta_page } => {
                 out.push(1);
-                out.extend_from_slice(&meta_page.get().to_le_bytes());
-                out.extend_from_slice(&schema.encode());
+                put_u64(&mut out, meta_page.get());
+                schema.encode_into(&mut out);
             }
             DdlOp::DropTable { table_id, name } => {
                 out.push(2);
-                out.extend_from_slice(&table_id.get().to_le_bytes());
+                put_u64(&mut out, table_id.get());
                 put_str(&mut out, name);
             }
             DdlOp::ReplaceSchema { schema } => {
                 out.push(3);
-                out.extend_from_slice(&schema.encode());
+                schema.encode_into(&mut out);
             }
         }
         out
@@ -446,7 +379,7 @@ impl DdlOp {
     /// Decode from the front of `buf`; returns the op and the bytes
     /// consumed.
     pub fn decode(buf: &[u8]) -> Result<(DdlOp, usize)> {
-        let mut r = ByteReader { buf, pos: 0 };
+        let mut r = ByteReader::new(buf, "ddl op");
         let op = match r.u8()? {
             1 => {
                 let meta_page = PageId(r.u64()?);
@@ -460,9 +393,9 @@ impl DdlOp {
             3 => DdlOp::ReplaceSchema {
                 schema: Schema::decode_reader(&mut r)?,
             },
-            t => return Err(Error::Storage(format!("unknown ddl op tag {t}"))),
+            t => return Err(r.error(format_args!("unknown op tag {t}"))),
         };
-        Ok((op, r.pos))
+        Ok((op, r.position()))
     }
 }
 

@@ -20,7 +20,8 @@ use crate::locator::RidLocator;
 use crate::pack::Pack;
 use crate::rowgroup::{ColumnSlot, RowGroup};
 use bytes::Bytes;
-use imci_common::{Error, Result, Rid, Schema, TableId};
+use imci_common::codec::put_u64;
+use imci_common::{ByteReader, Error, Result, Rid, Schema, TableId};
 use polarfs_sim::PolarFs;
 use std::sync::Arc;
 
@@ -153,18 +154,9 @@ pub fn write_checkpoint(
                 );
             }
             let (ins, del) = g.checkpoint_vids(csn);
-            let mut vbytes = Vec::with_capacity(16 + ins.len() * 8 + del.len() * 8);
-            vbytes.extend_from_slice(&(ins.len() as u64).to_le_bytes());
-            for v in &ins {
-                vbytes.extend_from_slice(&v.to_le_bytes());
-            }
-            vbytes.extend_from_slice(&(del.len() as u64).to_le_bytes());
-            for v in &del {
-                vbytes.extend_from_slice(&v.to_le_bytes());
-            }
             fs.put_object(
                 &format!("{p}t{}/g{}/vids", index.table_id.get(), g.id),
-                Bytes::from(vbytes),
+                Bytes::from(encode_vids(&ins, &del)),
             );
         }
         let snap = index.locator().snapshot();
@@ -294,6 +286,14 @@ pub fn load_index(
         }
         let vbytes = fs.get_object(&format!("{p}t{}/g{}/vids", schema.table_id.get(), gid))?;
         let (ins, del) = decode_vids(&vbytes)?;
+        // Scans index the maps by row offset in the group.
+        if ins.len() != group_cap || del.len() != group_cap {
+            return Err(Error::Storage(format!(
+                "checkpoint {seq} group {gid}: VID maps hold {}/{} slots, not {group_cap}",
+                ins.len(),
+                del.len()
+            )));
+        }
         groups.push(Arc::new(RowGroup::from_checkpoint(
             gid,
             group_cap,
@@ -314,31 +314,23 @@ pub fn load_index(
     Ok(index)
 }
 
-fn decode_vids(bytes: &[u8]) -> Result<(Vec<u64>, Vec<u64>)> {
-    let err = || Error::Storage("vid map truncated".into());
-    if bytes.len() < 8 {
-        return Err(err());
+/// Encode a group's insert and delete VID maps (`u64`-counted lists).
+pub fn encode_vids(ins: &[u64], del: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + (ins.len() + del.len()) * 8);
+    for map in [ins, del] {
+        put_u64(&mut out, map.len() as u64);
+        for &v in map {
+            put_u64(&mut out, v);
+        }
     }
-    let n1 = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-    let mut pos = 8;
-    if bytes.len() < pos + n1 * 8 + 8 {
-        return Err(err());
-    }
-    let mut ins = Vec::with_capacity(n1);
-    for _ in 0..n1 {
-        ins.push(u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()));
-        pos += 8;
-    }
-    let n2 = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
-    pos += 8;
-    if bytes.len() < pos + n2 * 8 {
-        return Err(err());
-    }
-    let mut del = Vec::with_capacity(n2);
-    for _ in 0..n2 {
-        del.push(u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()));
-        pos += 8;
-    }
+    out
+}
+
+/// Decode what [`encode_vids`] wrote.
+pub fn decode_vids(bytes: &[u8]) -> Result<(Vec<u64>, Vec<u64>)> {
+    let mut r = ByteReader::new(bytes, "vid map");
+    let ins = r.list_u64(8, |r| r.u64())?;
+    let del = r.list_u64(8, |r| r.u64())?;
     Ok((ins, del))
 }
 
@@ -483,6 +475,16 @@ mod tests {
             groups[g].visible(off, 20),
             "post-CSN delete must not leak into checkpointed VID maps"
         );
+    }
+
+    #[test]
+    fn short_vid_map_is_an_error() {
+        let fs = PolarFs::instant();
+        write_checkpoint(&fs, 1, &at(21, 0), &[populated_index()]).unwrap();
+        let key = "ckpt/000000000001/t3/g0/vids";
+        let (ins, del) = decode_vids(&fs.get_object(key).unwrap()).unwrap();
+        fs.put_object(key, Bytes::from(encode_vids(&ins[1..], &del)));
+        assert!(load_index(&fs, 1, &schema(), 8).is_err());
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub mod store;
 pub mod vidmap;
 
 pub use checkpoint::{
-    build_from_rows, ckpt_catalog_key, ckpt_rowpages_prefix, latest_checkpoint, load_index,
-    read_meta, write_checkpoint, CheckpointMeta, LogPosition,
+    build_from_rows, ckpt_catalog_key, ckpt_rowpages_prefix, decode_vids, encode_vids,
+    latest_checkpoint, load_index, read_meta, write_checkpoint, CheckpointMeta, LogPosition,
 };
 pub use column::{ColumnData, Dictionary};
 pub use compaction::{compact, CompactionReport};

@@ -14,7 +14,8 @@
 //! The paper's rule that checkpoints are "only triggered when the
 //! MemTable is filled" corresponds to snapshots always freezing first.
 
-use imci_common::Rid;
+use imci_common::codec::{put_i64, put_u64};
+use imci_common::{ByteReader, Rid};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -82,10 +83,10 @@ impl LocatorSnapshot {
     pub fn encode(&self) -> Vec<u8> {
         let live = self.iter_live();
         let mut out = Vec::with_capacity(live.len() * 16 + 8);
-        out.extend_from_slice(&(live.len() as u64).to_le_bytes());
+        put_u64(&mut out, live.len() as u64);
         for (pk, rid) in live {
-            out.extend_from_slice(&pk.to_le_bytes());
-            out.extend_from_slice(&rid.get().to_le_bytes());
+            put_i64(&mut out, pk);
+            put_u64(&mut out, rid.get());
         }
         out
     }
@@ -197,23 +198,11 @@ impl RidLocator {
 
     /// Rebuild from a serialized snapshot.
     pub fn decode(bytes: &[u8], memtable_cap: usize) -> imci_common::Result<RidLocator> {
-        if bytes.len() < 8 {
-            return Err(imci_common::Error::Storage(
-                "locator snapshot truncated".into(),
-            ));
-        }
-        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        if bytes.len() < 8 + n * 16 {
-            return Err(imci_common::Error::Storage(
-                "locator snapshot truncated".into(),
-            ));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 8 + i * 16;
-            let pk = i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            let rid = u64::from_le_bytes(bytes[off + 8..off + 16].try_into().unwrap());
-            entries.push((pk, Some(Rid(rid))));
+        let mut r = ByteReader::new(bytes, "locator snapshot");
+        let entries = r.list_u64(16, |r| Ok((r.i64()?, Some(Rid(r.u64()?)))))?;
+        // Lookups binary-search the run.
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(r.error("keys are not strictly ascending"));
         }
         let loc = RidLocator::new(memtable_cap);
         *loc.runs.write() = Arc::new(vec![Arc::new(Run { entries })]);
@@ -306,6 +295,12 @@ mod tests {
         assert_eq!(restored.get(3), None);
         assert_eq!(restored.get(498), Some(Rid(996)));
         assert_eq!(restored.get(499), None);
+        // Lookups binary-search the run, so keys out of order are corrupt.
+        let mut unsorted = Vec::new();
+        for v in [2u64, 5, 1, 3, 2] {
+            imci_common::codec::put_u64(&mut unsorted, v);
+        }
+        assert!(RidLocator::decode(&unsorted, 64).is_err());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! packs ("smart scan" pruning, §4.1 Pack Meta).
 
 use crate::column::{ColumnData, Dictionary};
-use imci_common::{DataType, Error, Result, Value};
+use imci_common::codec::{put_i64, put_str, put_u32, put_u64};
+use imci_common::{ByteReader, DataType, Result, Value};
 
 /// Bit-packed array of `len` unsigned integers of `width` bits each.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +124,35 @@ impl BitPacked {
     fn encoded_size(&self) -> usize {
         16 + self.words.len() * 8
     }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.len as u64);
+        out.push(self.width);
+        put_u32(out, self.words.len() as u32);
+        for &w in &self.words {
+            put_u64(out, w);
+        }
+    }
+
+    /// Decode, checking that the words hold exactly `len` entries of
+    /// `width` bits.
+    fn decode(r: &mut ByteReader<'_>) -> Result<BitPacked> {
+        let len = r.u64()?;
+        let width = r.u8()?;
+        let words = r.list_u32(8, |r| r.u64())?;
+        let bits = len.checked_mul(u64::from(width));
+        if width > 64 || bits.map(|b| b.div_ceil(64)) != Some(words.len() as u64) {
+            return Err(r.error(format_args!(
+                "{} words cannot hold {len} entries of {width} bits",
+                words.len()
+            )));
+        }
+        Ok(BitPacked {
+            len: len as usize,
+            width,
+            words,
+        })
+    }
 }
 
 /// Compact bitmap for null flags.
@@ -163,6 +193,30 @@ impl Bitmap {
     /// True when no bit is set (lets bulk readers skip per-row tests).
     pub fn none_set(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.len as u64);
+        put_u32(out, self.words.len() as u32);
+        for &w in &self.words {
+            put_u64(out, w);
+        }
+    }
+
+    /// Decode, checking that the words hold exactly `len` bits.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Bitmap> {
+        let len = r.u64()?;
+        let words = r.list_u32(8, |r| r.u64())?;
+        if len.div_ceil(64) != words.len() as u64 {
+            return Err(r.error(format_args!(
+                "{} words cannot hold {len} null flags",
+                words.len()
+            )));
+        }
+        Ok(Bitmap {
+            len: len as usize,
+            words,
+        })
     }
 
     /// Expand to one bool per logical bit.
@@ -567,21 +621,6 @@ impl Pack {
     /// Serialize for the checkpoint object store.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.compressed_size() + 64);
-        let put_bitpacked = |out: &mut Vec<u8>, bp: &BitPacked| {
-            out.extend_from_slice(&(bp.len as u64).to_le_bytes());
-            out.push(bp.width);
-            out.extend_from_slice(&(bp.words.len() as u32).to_le_bytes());
-            for w in &bp.words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        };
-        let put_bitmap = |out: &mut Vec<u8>, bm: &Bitmap| {
-            out.extend_from_slice(&(bm.len as u64).to_le_bytes());
-            out.extend_from_slice(&(bm.words.len() as u32).to_le_bytes());
-            for w in &bm.words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        };
         match &self.data {
             PackData::Int {
                 base,
@@ -589,119 +628,66 @@ impl Pack {
                 nulls,
             } => {
                 out.push(1);
-                out.extend_from_slice(&base.to_le_bytes());
-                put_bitpacked(&mut out, packed);
-                put_bitmap(&mut out, nulls);
+                put_i64(&mut out, *base);
+                packed.encode_into(&mut out);
+                nulls.encode_into(&mut out);
             }
             PackData::Double { vals, nulls } => {
                 out.push(2);
-                out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
+                put_u64(&mut out, vals.len() as u64);
                 for v in vals {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                    put_u64(&mut out, v.to_bits());
                 }
-                put_bitmap(&mut out, nulls);
+                nulls.encode_into(&mut out);
             }
             PackData::Str { codes, dict, nulls } => {
                 out.push(3);
-                put_bitpacked(&mut out, codes);
-                out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+                codes.encode_into(&mut out);
+                put_u32(&mut out, dict.len() as u32);
                 for s in dict {
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
+                    put_str(&mut out, s);
                 }
-                put_bitmap(&mut out, nulls);
+                nulls.encode_into(&mut out);
             }
         }
         out
     }
 
-    /// Deserialize from a checkpoint object. Recomputes meta.
+    /// Deserialize from a checkpoint object. Recomputes meta. A pack
+    /// whose arrays disagree with its row count, or whose string codes
+    /// point past its dictionary, is rejected here rather than left to
+    /// panic in a later scan.
     pub fn decode_bytes(bytes: &[u8]) -> Result<Pack> {
-        struct R<'a> {
-            b: &'a [u8],
-            p: usize,
-        }
-        impl<'a> R<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-                if self.p + n > self.b.len() {
-                    return Err(Error::Storage("pack truncated".into()));
-                }
-                let s = &self.b[self.p..self.p + n];
-                self.p += n;
-                Ok(s)
-            }
-            fn u8(&mut self) -> Result<u8> {
-                Ok(self.take(1)?[0])
-            }
-            fn u32(&mut self) -> Result<u32> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn i64(&mut self) -> Result<i64> {
-                Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn bitpacked(&mut self) -> Result<BitPacked> {
-                let len = self.u64()? as usize;
-                let width = self.u8()?;
-                let nw = self.u32()? as usize;
-                let mut words = Vec::with_capacity(nw);
-                for _ in 0..nw {
-                    words.push(self.u64()?);
-                }
-                Ok(BitPacked { len, width, words })
-            }
-            fn bitmap(&mut self) -> Result<Bitmap> {
-                let len = self.u64()? as usize;
-                let nw = self.u32()? as usize;
-                let mut words = Vec::with_capacity(nw);
-                for _ in 0..nw {
-                    words.push(self.u64()?);
-                }
-                Ok(Bitmap { len, words })
-            }
-        }
-        let mut r = R { b: bytes, p: 0 };
+        let mut r = ByteReader::new(bytes, "pack");
         let data = match r.u8()? {
-            1 => {
-                let base = r.i64()?;
-                let packed = r.bitpacked()?;
-                let nulls = r.bitmap()?;
-                PackData::Int {
-                    base,
-                    packed,
-                    nulls,
-                }
-            }
-            2 => {
-                let n = r.u64()? as usize;
-                let mut vals = Vec::with_capacity(n);
-                for _ in 0..n {
-                    vals.push(f64::from_bits(r.u64()?));
-                }
-                PackData::Double {
-                    vals,
-                    nulls: r.bitmap()?,
-                }
-            }
-            3 => {
-                let codes = r.bitpacked()?;
-                let nd = r.u32()? as usize;
-                let mut dict = Vec::with_capacity(nd);
-                for _ in 0..nd {
-                    let len = r.u32()? as usize;
-                    dict.push(
-                        std::str::from_utf8(r.take(len)?)
-                            .map_err(|e| Error::Storage(format!("pack bad utf8: {e}")))?
-                            .to_owned(),
-                    );
-                }
-                let nulls = r.bitmap()?;
-                PackData::Str { codes, dict, nulls }
-            }
-            t => return Err(Error::Storage(format!("bad pack tag {t}"))),
+            1 => PackData::Int {
+                base: r.i64()?,
+                packed: BitPacked::decode(&mut r)?,
+                nulls: Bitmap::decode(&mut r)?,
+            },
+            2 => PackData::Double {
+                vals: r.list_u64(8, |r| Ok(f64::from_bits(r.u64()?)))?,
+                nulls: Bitmap::decode(&mut r)?,
+            },
+            3 => PackData::Str {
+                codes: BitPacked::decode(&mut r)?,
+                // String length.
+                dict: r.list_u32(4, |r| r.str())?,
+                nulls: Bitmap::decode(&mut r)?,
+            },
+            t => return Err(r.error(format_args!("bad tag {t}"))),
         };
+        let well_formed = match &data {
+            PackData::Int { packed, nulls, .. } => packed.len == nulls.len,
+            PackData::Double { vals, nulls } => vals.len() == nulls.len,
+            PackData::Str { codes, dict, nulls } => {
+                codes.len == nulls.len
+                    && (0..nulls.len).all(|i| nulls.get(i) || (codes.get(i) as usize) < dict.len())
+            }
+        };
+        if !well_formed {
+            return Err(r.error("arrays do not match the row count"));
+        }
         let tmp = Pack {
             meta: PackMeta {
                 min: Value::Null,
@@ -883,6 +869,25 @@ mod tests {
         let m = &Pack::seal(&col).meta;
         assert!(!m.may_contain_range(Some(&Value::Int(0)), None));
         assert_eq!(m.null_count, 10);
+    }
+
+    #[test]
+    fn decode_rejects_shapes_that_would_panic_later() {
+        let mut col = ColumnData::new(DataType::Str);
+        col.set(0, &Value::Str("a".into())).unwrap();
+        col.set(1, &Value::Str("b".into())).unwrap();
+        let mut pack = Pack::seal(&col);
+        if let PackData::Str { dict, .. } = &mut pack.data {
+            dict.pop(); // a code now points past the dictionary
+        }
+        assert!(Pack::decode_bytes(&pack.encode()).is_err());
+        let mut col = ColumnData::new(DataType::Int);
+        col.set(0, &Value::Int(5)).unwrap();
+        let mut pack = Pack::seal(&col);
+        if let PackData::Int { nulls, .. } = &mut pack.data {
+            *nulls = Bitmap::from_bools(&[false; 200]);
+        }
+        assert!(Pack::decode_bytes(&pack.encode()).is_err());
     }
 
     #[test]

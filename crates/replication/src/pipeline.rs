@@ -78,8 +78,9 @@ pub struct PromotionState {
 }
 
 /// What the reader thread hands back when it exits: the undo of every
-/// undecided DML and the position its state covers.
-type Drained = (Vec<(Tid, UndoOp)>, LogPosition);
+/// undecided DML and the position its state covers, or the error of a
+/// log frame that did not decode.
+type Drained = Result<(Vec<(Tid, UndoOp)>, LogPosition)>;
 
 /// A running replication pipeline for one RO node.
 pub struct Pipeline {
@@ -94,7 +95,8 @@ pub struct Pipeline {
     // sessions still hold `Arc`s to the node (scale-in/shutdown).
     reader: parking_lot::Mutex<Option<JoinHandle<Drained>>>,
     /// Entries and ops that failed to apply (the pipeline keeps
-    /// running; benches assert this stays 0).
+    /// running), plus a log frame that failed to decode (the pipeline
+    /// stops in front of it). Benches assert this stays 0.
     errors: Arc<AtomicU64>,
 }
 
@@ -129,17 +131,23 @@ impl Pipeline {
                 // `stop` means stop, not "stop once the log goes quiet".
                 while !stop.load(Ordering::SeqCst) {
                     let draining = drain.load(Ordering::SeqCst);
-                    let frames = read_batch(&fs, &config, &mut reader, draining);
-                    if frames.is_empty() {
-                        if draining {
-                            break;
-                        }
-                        continue;
+                    let mut frames = Vec::new();
+                    let read = read_batch(&fs, &config, &mut reader, draining, &mut frames);
+                    if !frames.is_empty() {
+                        applier.apply(&frames);
+                        publish(&metrics, &errors, &applier);
                     }
-                    applier.apply(&frames);
-                    publish(&metrics, &errors, &applier);
+                    // An undecodable frame is never skipped: everything
+                    // before it is applied, and the node stops there.
+                    if let Err(e) = read {
+                        errors.fetch_add(1, Ordering::Relaxed);
+                        return Err(e);
+                    }
+                    if frames.is_empty() && draining {
+                        break;
+                    }
                 }
-                applier.finish()
+                Ok(applier.finish())
             })
         };
         Pipeline {
@@ -156,7 +164,7 @@ impl Pipeline {
         &self.metrics
     }
 
-    /// Apply errors observed so far (0 in a healthy run).
+    /// Apply and log-decode errors observed so far (0 in a healthy run).
     pub fn error_count(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
@@ -183,12 +191,13 @@ impl Pipeline {
     /// committed transaction in the log is applied to both formats, and
     /// `inflight` holds the exact row-side undo for the rest: the
     /// drained node's row replica equals "all committed + precisely
-    /// these undecided ops". Fails if the pipeline was already stopped.
+    /// these undecided ops". Fails if the pipeline was already stopped,
+    /// or stopped at a log frame that did not decode.
     pub fn stop_after_drain(&self) -> Result<PromotionState> {
         self.drain.store(true, Ordering::SeqCst);
         let (inflight, position) = self.join().ok_or_else(|| {
             Error::Replication("replication reader already stopped or panicked".into())
-        })?;
+        })??;
         Ok(PromotionState { inflight, position })
     }
 
@@ -204,23 +213,24 @@ impl Drop for Pipeline {
     }
 }
 
-/// One read of the log: at most [`READ_BATCH_BYTES`] while tailing, the
-/// whole rest of the log while draining.
+/// One read of the log into `out`: at most [`READ_BATCH_BYTES`] while
+/// tailing, the whole rest of the log while draining.
 fn read_batch(
     fs: &PolarFs,
     cfg: &ReplicationConfig,
     reader: &mut LogReader,
     draining: bool,
-) -> Vec<(imci_wal::RedoEntry, u64)> {
+    out: &mut Vec<(imci_wal::RedoEntry, u64)>,
+) -> Result<()> {
     // Promotion drain: the old writer is epoch-fenced, so the log is
     // static — consume it to the very end (even past the durable point
     // in OnCommit mode: the resumed writer appends after the physical
     // tail, so every byte before it must be accounted for).
     if draining {
-        return reader.read_frames_until(u64::MAX);
+        return reader.read_frames_until(u64::MAX, out);
     }
     match cfg.ship_mode {
-        ShipMode::CommitAhead => reader.wait_and_read(cfg.poll_interval, READ_BATCH_BYTES),
+        ShipMode::CommitAhead => reader.wait_and_read(cfg.poll_interval, READ_BATCH_BYTES, out),
         // OnCommit strawman: cap reads at the durable commit point.
         ShipMode::OnCommit => {
             let cap = fs.synced_len(REDO_LOG_NAME);
@@ -229,9 +239,9 @@ fn read_batch(
                 // turn, by design: it is the slow baseline the paper's
                 // Fig. 10 measures commit-ahead shipping against.
                 std::thread::sleep(cfg.poll_interval);
-                Vec::new()
+                Ok(())
             } else {
-                reader.read_frames_until(cap)
+                reader.read_frames_until(cap, out)
             }
         }
     }

@@ -28,7 +28,7 @@
 
 use crate::apply::Applier;
 use bytes::Bytes;
-use imci_common::{FxHashSet, Result, Tid, SYSTEM_TID};
+use imci_common::{Error, FxHashSet, Result, Tid, SYSTEM_TID};
 use imci_core::{ColumnStore, LogPosition};
 use imci_wal::{LogReader, LogWriter, PropagationMode, RedoEntry, REDO_LOG_NAME};
 use polarfs_sim::PolarFs;
@@ -161,7 +161,16 @@ fn replay_into(
         Stop::LogEnd => fs.log_len(REDO_LOG_NAME),
         Stop::Boundary(cap) => cap,
     };
-    let mut frames = LogReader::new(fs.clone(), position.offset).read_frames_until(cap);
+    let mut frames = Vec::new();
+    LogReader::new(fs.clone(), position.offset).read_frames_until(cap, &mut frames)?;
+    // Appends are whole frames, so bytes left undecoded before the log
+    // end are a frame whose length prefix is corrupt, not a torn tail.
+    let read_to = frames.last().map_or(position.offset, |f| f.1);
+    if stop == Stop::LogEnd && read_to < cap {
+        return Err(Error::Storage(format!(
+            "redo log: the frame at offset {read_to} runs past the log end {cap}"
+        )));
+    }
     if let Stop::Boundary(_) = stop {
         frames.truncate(boundary_prefix(&frames));
     }
@@ -448,10 +457,16 @@ mod tests {
         let (fs, rw) = rw_with_data(100);
         let (first, replayed) = take_checkpoint(&fs, 1, None, 64).unwrap();
         assert_eq!(first.checkpoint, None);
-        let log_before = LogReader::new(fs.clone(), 0).read_available().len();
-        assert_eq!(replayed.entries, log_before);
+        let frames_from = |offset| {
+            let mut frames = Vec::new();
+            LogReader::new(fs.clone(), offset)
+                .read_frames_until(u64::MAX, &mut frames)
+                .unwrap();
+            frames
+        };
+        assert_eq!(replayed.entries, frames_from(0).len());
         insert_range(&rw, 100..110, 1);
-        let suffix = LogReader::new(fs.clone(), first.position.offset).read_available();
+        let suffix = frames_from(first.position.offset);
         let (second, replayed) = take_checkpoint(&fs, 2, None, 64).unwrap();
         assert_eq!(second.checkpoint, Some(1));
         assert_eq!(replayed.entries, suffix.len());

@@ -380,7 +380,7 @@ pub fn apply_entry(engine: &RowEngine, e: &RedoEntry) -> Result<Option<LogicalCh
 mod tests {
     use super::*;
     use imci_common::{ColumnDef, DataType, IndexDef, IndexKind, Value};
-    use imci_wal::{LogReader, LogWriter, PropagationMode};
+    use imci_wal::{LogWriter, PropagationMode};
     use polarfs_sim::PolarFs;
 
     fn schema_parts() -> (Vec<ColumnDef>, Vec<IndexDef>) {
@@ -466,9 +466,8 @@ mod tests {
         // No catalog refresh: the CREATE TABLE's DDL record is in the
         // log and registers the table during replay.
         let ro = RowEngine::new_replica(fs.clone(), 1 << 20);
-        let mut reader = LogReader::new(fs, 0);
         let mut user_dmls = 0;
-        for e in reader.read_available() {
+        for e in crate::redo_entries(fs) {
             if apply_entry(&ro, &e).unwrap().is_some() {
                 user_dmls += 1;
             }
@@ -527,9 +526,7 @@ mod tests {
         // No catalog refresh: the CREATE TABLE's DDL record is in the
         // log and registers the table during replay.
         let ro = RowEngine::new_replica(fs.clone(), 1 << 20);
-        let mut reader = LogReader::new(fs, 0);
-        let changes: Vec<LogicalChange> = reader
-            .read_available()
+        let changes: Vec<LogicalChange> = crate::redo_entries(fs)
             .iter()
             .filter_map(|e| apply_entry(&ro, e).unwrap())
             .collect();
@@ -565,8 +562,7 @@ mod tests {
         // No catalog refresh: the CREATE TABLE's DDL record is in the
         // log and registers the table during replay.
         let ro = RowEngine::new_replica(fs.clone(), 1 << 20);
-        let mut reader = LogReader::new(fs, 0);
-        let entries = reader.read_available();
+        let entries = crate::redo_entries(fs);
         for e in &entries {
             apply_entry(&ro, e).unwrap();
         }

@@ -2,8 +2,9 @@
 //!
 //! Every mutation of a page emits exactly one REDO record *for that
 //! page*, while holding the page's write latch, so the per-page LSN
-//! order in the log equals the mutation order — the invariant Phase-1's
-//! page-partitioned parallel replay relies on (paper §5.2).
+//! order in the log equals the mutation order. Replay relies on it: a
+//! record applies only when its LSN is above the page's `last_lsn`, so
+//! re-applying any prefix of the log is idempotent (paper §5.2).
 //!
 //! User DML records carry the user TID; split/SMO records carry
 //! [`SYSTEM_TID`] so replay applies them physically but never interprets
@@ -577,7 +578,7 @@ mod tests {
     /// A logged tree, loaded with `keys` (200-byte images); returns the
     /// tree and the SMO bytes the load logged.
     fn logged_load(keys: impl Iterator<Item = i64>) -> (BTree, usize) {
-        use imci_wal::{LogReader, PropagationMode};
+        use imci_wal::PropagationMode;
         let fs = PolarFs::instant();
         let bp = BufferPool::new(fs.clone(), 1024);
         let alloc = Arc::new(PageAllocator::new(1));
@@ -590,8 +591,7 @@ mod tests {
         for pk in keys {
             t.insert(pk, vec![pk as u8; 200], &ctx).unwrap();
         }
-        let smo_bytes = LogReader::new(fs, 0)
-            .read_available()
+        let smo_bytes = crate::redo_entries(fs)
             .iter()
             .filter(|e| e.payload.is_smo())
             .map(|e| e.encode().len())
@@ -673,7 +673,7 @@ mod tests {
 
     #[test]
     fn split_emits_system_records_only_for_structure() {
-        use imci_wal::{LogReader, PropagationMode};
+        use imci_wal::PropagationMode;
         let fs = PolarFs::instant();
         let bp = BufferPool::new(fs.clone(), 1024);
         let alloc = Arc::new(PageAllocator::new(1));
@@ -687,8 +687,7 @@ mod tests {
         for pk in 0..2000i64 {
             t.insert(pk, vec![0u8; 64], &ctx).unwrap();
         }
-        let mut r = LogReader::new(fs, 0);
-        let entries = r.read_available();
+        let entries = crate::redo_entries(fs);
         let smo = entries.iter().filter(|e| e.payload.is_smo()).count();
         let dml = entries
             .iter()

@@ -12,8 +12,10 @@ use crate::btree::{BTree, RedoCtx};
 use crate::bufferpool::BufferPool;
 use crate::table::TableRt;
 use crate::txn::{Txn, TxnManager, UndoOp};
+use imci_common::codec::{put_bytes, put_u32, put_u64};
 use imci_common::{
-    DdlOp, Error, FxHashMap, PageId, Result, Row, Schema, TableId, Value, Vid, SYSTEM_TID,
+    ByteReader, DdlOp, Error, FxHashMap, PageId, Result, Row, Schema, TableId, Value, Vid,
+    SYSTEM_TID,
 };
 use imci_wal::{BinlogEvent, BinlogKind, LogWriter, PropagationMode, RedoPayload};
 use parking_lot::{Mutex, RwLock};
@@ -292,7 +294,7 @@ impl RowEngine {
         self.tables.write().insert(schema.name.clone(), rt.clone());
         self.tables_by_id.write().insert(schema.table_id, rt);
         self.next_table_id
-            .fetch_max(schema.table_id.get() + 1, Ordering::SeqCst);
+            .fetch_max(schema.table_id.get().saturating_add(1), Ordering::SeqCst);
         Ok(())
     }
 
@@ -326,14 +328,12 @@ impl RowEngine {
     pub fn export_catalog(&self) -> Vec<u8> {
         let tables = self.tables.read();
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&self.catalog_version.load(Ordering::SeqCst).to_le_bytes());
-        out.extend_from_slice(&self.page_alloc.high_water().to_le_bytes());
-        out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
+        put_u64(&mut out, self.catalog_version.load(Ordering::SeqCst));
+        put_u64(&mut out, self.page_alloc.high_water());
+        put_u32(&mut out, tables.len() as u32);
         for rt in tables.values() {
-            out.extend_from_slice(&rt.tree.meta_page().get().to_le_bytes());
-            let enc = rt.schema.encode();
-            out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            out.extend_from_slice(&enc);
+            put_u64(&mut out, rt.tree.meta_page().get());
+            put_bytes(&mut out, &rt.schema.encode());
         }
         out
     }
@@ -345,14 +345,14 @@ impl RowEngine {
     /// carry higher versions and apply normally.
     pub fn import_catalog(&self, bytes: &[u8]) -> Result<()> {
         let _ddl = self.ddl_lock.lock();
-        let mut r = imci_common::ByteReader::new(bytes);
+        let mut r = ByteReader::new(bytes, "catalog snapshot");
         let version = r.u64()?;
         let page_alloc = r.u64()?;
-        let n = r.u32()? as usize;
-        for _ in 0..n {
-            let meta_page = PageId(r.u64()?);
-            let len = r.u32()? as usize;
-            let (schema, _) = Schema::decode(r.take(len)?)?;
+        // Meta page + schema length.
+        let tables = r.list_u32(12, |r| {
+            Ok((PageId(r.u64()?), Schema::decode(r.bytes()?)?.0))
+        })?;
+        for (meta_page, schema) in tables {
             self.ddl_versions.write().insert(schema.table_id, version);
             self.install_ddl(&DdlOp::CreateTable { schema, meta_page })?;
         }
@@ -910,8 +910,7 @@ mod tests {
         assert!(inserted > 0, "writer must have made progress");
 
         let ro = RowEngine::new_replica(fs.clone(), 1 << 20);
-        let mut reader = imci_wal::LogReader::new(fs, 0);
-        for entry in reader.read_available() {
+        for entry in crate::redo_entries(fs) {
             crate::apply::apply_entry(&ro, &entry)
                 .unwrap_or_else(|err| panic!("log must stay replayable: {err}"));
         }

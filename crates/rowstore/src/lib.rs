@@ -33,3 +33,13 @@ pub use engine::RowEngine;
 pub use page::{Page, PageKind, PAGE_BYTE_CAPACITY};
 pub use table::TableRt;
 pub use txn::{Txn, TxnManager, UndoOp};
+
+/// Every entry in the shared REDO log, in order.
+#[cfg(test)]
+fn redo_entries(fs: polarfs_sim::PolarFs) -> Vec<imci_wal::RedoEntry> {
+    let mut frames = Vec::new();
+    imci_wal::LogReader::new(fs, 0)
+        .read_frames_until(u64::MAX, &mut frames)
+        .unwrap();
+    frames.into_iter().map(|(e, _)| e).collect()
+}

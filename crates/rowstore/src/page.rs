@@ -7,7 +7,8 @@
 //! (ARIES-style page-LSN test): a page flushed to shared storage after
 //! LSN *x* silently absorbs re-applied entries with LSN ≤ *x*.
 
-use imci_common::{Error, Lsn, PageId, Result};
+use imci_common::codec::{put_bytes, put_i64, put_u32, put_u64};
+use imci_common::{ByteReader, Error, Lsn, PageId, Result};
 
 /// Soft byte capacity of a leaf page (16 KiB like InnoDB).
 pub const PAGE_BYTE_CAPACITY: usize = 16 * 1024;
@@ -127,33 +128,32 @@ impl Page {
     /// Encode for the page store.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.byte_size() + 64);
-        out.extend_from_slice(&self.id.get().to_le_bytes());
-        out.extend_from_slice(&self.last_lsn.get().to_le_bytes());
+        put_u64(&mut out, self.id.get());
+        put_u64(&mut out, self.last_lsn.get());
         match &self.kind {
             PageKind::Leaf { entries, next } => {
                 out.push(1);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                put_u32(&mut out, entries.len() as u32);
                 for (pk, img) in entries {
-                    out.extend_from_slice(&pk.to_le_bytes());
-                    out.extend_from_slice(&(img.len() as u32).to_le_bytes());
-                    out.extend_from_slice(img);
+                    put_i64(&mut out, *pk);
+                    put_bytes(&mut out, img);
                 }
-                out.extend_from_slice(&next.map_or(u64::MAX, |p| p.get()).to_le_bytes());
+                put_u64(&mut out, next.map_or(u64::MAX, |p| p.get()));
             }
             PageKind::Internal { keys, children } => {
                 out.push(2);
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+                put_u32(&mut out, keys.len() as u32);
                 for k in keys {
-                    out.extend_from_slice(&k.to_le_bytes());
+                    put_i64(&mut out, *k);
                 }
-                out.extend_from_slice(&(children.len() as u32).to_le_bytes());
+                put_u32(&mut out, children.len() as u32);
                 for c in children {
-                    out.extend_from_slice(&c.get().to_le_bytes());
+                    put_u64(&mut out, c.get());
                 }
             }
             PageKind::Meta { root } => {
                 out.push(3);
-                out.extend_from_slice(&root.get().to_le_bytes());
+                put_u64(&mut out, root.get());
             }
         }
         out
@@ -161,75 +161,36 @@ impl Page {
 
     /// Decode a page image from the page store.
     pub fn decode(bytes: &[u8]) -> Result<Page> {
-        let err = || Error::Storage("page image truncated".into());
-        let mut pos = 0usize;
-        let u64_at = |p: &mut usize| -> Result<u64> {
-            if *p + 8 > bytes.len() {
-                return Err(err());
-            }
-            let v = u64::from_le_bytes(bytes[*p..*p + 8].try_into().unwrap());
-            *p += 8;
-            Ok(v)
-        };
-        let id = PageId(u64_at(&mut pos)?);
-        let last_lsn = Lsn(u64_at(&mut pos)?);
-        if pos >= bytes.len() {
-            return Err(err());
-        }
-        let tag = bytes[pos];
-        pos += 1;
-        let read_u32 = |p: &mut usize| -> Result<u32> {
-            if *p + 4 > bytes.len() {
-                return Err(err());
-            }
-            let v = u32::from_le_bytes(bytes[*p..*p + 4].try_into().unwrap());
-            *p += 4;
-            Ok(v)
-        };
-        let read_u64 = |p: &mut usize| -> Result<u64> {
-            if *p + 8 > bytes.len() {
-                return Err(err());
-            }
-            let v = u64::from_le_bytes(bytes[*p..*p + 8].try_into().unwrap());
-            *p += 8;
-            Ok(v)
-        };
-        let kind = match tag {
+        let mut r = ByteReader::new(bytes, "page image");
+        let id = PageId(r.u64()?);
+        let last_lsn = Lsn(r.u64()?);
+        let kind = match r.u8()? {
             1 => {
-                let n = read_u32(&mut pos)? as usize;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let pk = read_u64(&mut pos)? as i64;
-                    let len = read_u32(&mut pos)? as usize;
-                    if pos + len > bytes.len() {
-                        return Err(err());
-                    }
-                    entries.push((pk, bytes[pos..pos + len].to_vec()));
-                    pos += len;
-                }
-                let nxt = read_u64(&mut pos)?;
+                // Key + image length.
+                let entries = r.list_u32(12, |r| Ok((r.i64()?, r.bytes()?.to_vec())))?;
+                let next = r.u64()?;
                 PageKind::Leaf {
                     entries,
-                    next: (nxt != u64::MAX).then_some(PageId(nxt)),
+                    next: (next != u64::MAX).then_some(PageId(next)),
                 }
             }
             2 => {
-                let nk = read_u32(&mut pos)? as usize;
-                let mut keys = Vec::with_capacity(nk);
-                for _ in 0..nk {
-                    keys.push(read_u64(&mut pos)? as i64);
-                }
-                let nc = read_u32(&mut pos)? as usize;
-                let mut children = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    children.push(PageId(read_u64(&mut pos)?));
+                let keys = r.list_u32(8, |r| r.i64())?;
+                let children = r.list_u32(8, |r| Ok(PageId(r.u64()?)))?;
+                // `child_for` indexes `children` by key position.
+                if children.len() != keys.len() + 1 {
+                    return Err(r.error(format_args!(
+                        "{} keys but {} children",
+                        keys.len(),
+                        children.len()
+                    )));
                 }
                 PageKind::Internal { keys, children }
             }
             3 => PageKind::Meta {
-                root: PageId(read_u64(&mut pos)?),
+                root: PageId(r.u64()?),
             },
-            t => return Err(Error::Storage(format!("bad page tag {t}"))),
+            t => return Err(r.error(format_args!("bad page tag {t}"))),
         };
         Ok(Page {
             id,
@@ -325,5 +286,13 @@ mod tests {
         let mut ok = Page::new_leaf(PageId(1)).encode();
         ok[16] = 200; // corrupt kind tag
         assert!(Page::decode(&ok).is_err());
+        let lopsided = Page {
+            kind: PageKind::Internal {
+                keys: vec![10],
+                children: vec![PageId(2)],
+            },
+            ..Page::new_leaf(PageId(1))
+        };
+        assert!(Page::decode(&lopsided.encode()).is_err());
     }
 }

@@ -128,7 +128,7 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imci_wal::{LogReader, PropagationMode, RedoPayload};
+    use imci_wal::{PropagationMode, RedoPayload};
     use polarfs_sim::PolarFs;
 
     #[test]
@@ -178,9 +178,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut r = LogReader::new(fs, 0);
         let mut last = 0u64;
-        for e in r.read_available() {
+        for e in crate::redo_entries(fs) {
             if let RedoPayload::Commit { commit_vid } = e.payload {
                 assert!(
                     commit_vid.get() > last,

@@ -6,7 +6,8 @@
 //! implements exactly that so the Fig. 11 experiment can measure the
 //! perturbation honestly.
 
-use imci_common::{DdlOp, Error, Result, Row, TableId, Tid};
+use imci_common::codec::{encode_frame, put_bytes, put_i64, put_u64, split_frame};
+use imci_common::{ByteReader, DdlOp, Result, Row, TableId, Tid};
 use polarfs_sim::PolarFs;
 
 /// Shared-storage file name of the binlog.
@@ -50,87 +51,58 @@ pub struct BinlogEvent {
 impl BinlogEvent {
     /// Encode to the framed wire format (u32 len + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
-        body.extend_from_slice(&self.tid.get().to_le_bytes());
-        body.extend_from_slice(&self.table_id.get().to_le_bytes());
-        match &self.kind {
-            BinlogKind::Insert { row } => {
-                body.push(1);
-                let img = row.encode();
-                body.extend_from_slice(&(img.len() as u32).to_le_bytes());
-                body.extend_from_slice(&img);
+        encode_frame(36, |body| {
+            put_u64(body, self.tid.get());
+            put_u64(body, self.table_id.get());
+            match &self.kind {
+                BinlogKind::Insert { row } => {
+                    body.push(1);
+                    put_bytes(body, &row.encode());
+                }
+                BinlogKind::Update { pk, row } => {
+                    body.push(2);
+                    put_i64(body, *pk);
+                    put_bytes(body, &row.encode());
+                }
+                BinlogKind::Delete { pk } => {
+                    body.push(3);
+                    put_i64(body, *pk);
+                }
+                BinlogKind::Commit => body.push(4),
+                BinlogKind::Abort => body.push(5),
+                BinlogKind::Ddl { version, op } => {
+                    body.push(6);
+                    put_u64(body, *version);
+                    put_bytes(body, &op.encode());
+                }
             }
-            BinlogKind::Update { pk, row } => {
-                body.push(2);
-                body.extend_from_slice(&pk.to_le_bytes());
-                let img = row.encode();
-                body.extend_from_slice(&(img.len() as u32).to_le_bytes());
-                body.extend_from_slice(&img);
-            }
-            BinlogKind::Delete { pk } => {
-                body.push(3);
-                body.extend_from_slice(&pk.to_le_bytes());
-            }
-            BinlogKind::Commit => body.push(4),
-            BinlogKind::Abort => body.push(5),
-            BinlogKind::Ddl { version, op } => {
-                body.push(6);
-                body.extend_from_slice(&version.to_le_bytes());
-                let enc = op.encode();
-                body.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-                body.extend_from_slice(&enc);
-            }
-        }
-        let mut out = Vec::with_capacity(body.len() + 4);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        })
     }
 
     /// Decode one framed event; `Ok(None)` when the frame is incomplete.
     pub fn decode(buf: &[u8]) -> Result<Option<(BinlogEvent, usize)>> {
-        if buf.len() < 4 {
+        let Some((body, used)) = split_frame(buf) else {
             return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        if buf.len() < 4 + body_len {
-            return Ok(None);
-        }
-        let body = &buf[4..4 + body_len];
-        if body.len() < 17 {
-            return Err(Error::Storage("binlog event too short".into()));
-        }
-        let tid = Tid(u64::from_le_bytes(body[0..8].try_into().unwrap()));
-        let table_id = TableId(u64::from_le_bytes(body[8..16].try_into().unwrap()));
-        let kind_tag = body[16];
-        let rest = &body[17..];
-        let kind = match kind_tag {
-            1 => {
-                let n = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-                BinlogKind::Insert {
-                    row: Row::decode(&rest[4..4 + n])?,
-                }
-            }
-            2 => {
-                let pk = i64::from_le_bytes(rest[0..8].try_into().unwrap());
-                let n = u32::from_le_bytes(rest[8..12].try_into().unwrap()) as usize;
-                BinlogKind::Update {
-                    pk,
-                    row: Row::decode(&rest[12..12 + n])?,
-                }
-            }
-            3 => BinlogKind::Delete {
-                pk: i64::from_le_bytes(rest[0..8].try_into().unwrap()),
+        };
+        let mut r = ByteReader::new(body, "binlog event");
+        let tid = Tid(r.u64()?);
+        let table_id = TableId(r.u64()?);
+        let kind = match r.u8()? {
+            1 => BinlogKind::Insert {
+                row: Row::decode(r.bytes()?)?,
             },
+            2 => BinlogKind::Update {
+                pk: r.i64()?,
+                row: Row::decode(r.bytes()?)?,
+            },
+            3 => BinlogKind::Delete { pk: r.i64()? },
             4 => BinlogKind::Commit,
             5 => BinlogKind::Abort,
-            6 => {
-                let version = u64::from_le_bytes(rest[0..8].try_into().unwrap());
-                let n = u32::from_le_bytes(rest[8..12].try_into().unwrap()) as usize;
-                let (op, _) = DdlOp::decode(&rest[12..12 + n])?;
-                BinlogKind::Ddl { version, op }
-            }
-            t => return Err(Error::Storage(format!("unknown binlog kind {t}"))),
+            6 => BinlogKind::Ddl {
+                version: r.u64()?,
+                op: DdlOp::decode(r.bytes()?)?.0,
+            },
+            t => return Err(r.error(format_args!("unknown kind {t}"))),
         };
         Ok(Some((
             BinlogEvent {
@@ -138,7 +110,7 @@ impl BinlogEvent {
                 table_id,
                 kind,
             },
-            4 + body_len,
+            used,
         )))
     }
 }
@@ -194,7 +166,7 @@ impl BinlogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imci_common::Value;
+    use imci_common::{Error, Value};
 
     #[test]
     fn event_roundtrip() {

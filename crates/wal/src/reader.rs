@@ -1,6 +1,7 @@
 //! Sequential REDO log reader used by RO nodes.
 
 use crate::record::RedoEntry;
+use imci_common::Result;
 use polarfs_sim::PolarFs;
 use std::time::Duration;
 
@@ -8,10 +9,11 @@ use crate::writer::REDO_LOG_NAME;
 
 /// Chunked tail-reader over the shared-storage REDO log.
 ///
-/// RO nodes keep one of these per replication pipeline; `read_available`
-/// drains everything currently durable-or-not (CALS reads entries as
-/// soon as they are appended, *before* the commit fsync — §5.1), and
-/// `wait_and_read` blocks until the log grows.
+/// RO nodes keep one of these per replication pipeline;
+/// `read_frames_until` decodes everything currently in the log,
+/// durable or not (CALS reads entries as soon as they are appended,
+/// *before* the commit fsync — §5.1), and `wait_and_read` blocks until
+/// the log grows.
 pub struct LogReader {
     fs: PolarFs,
     offset: u64,
@@ -47,56 +49,55 @@ impl LogReader {
         }
     }
 
-    /// Read and decode all complete entries currently in the log.
-    pub fn read_available(&mut self) -> Vec<RedoEntry> {
-        let mut out = Vec::new();
-        loop {
-            let chunk = self.fs.read_log(REDO_LOG_NAME, self.offset, CHUNK);
-            if chunk.is_empty() {
-                break;
-            }
-            self.carry(chunk);
-            let mut pos = 0;
-            while let Ok(Some((entry, used))) = RedoEntry::decode(&self.buf[pos..]) {
-                out.push(entry);
-                pos += used;
-            }
-            self.buf.drain(..pos);
-        }
-        out
-    }
-
-    /// Read and decode entries, but never consume bytes at or beyond
+    /// Decode entries into `out`, but never consume bytes at or beyond
     /// offset `cap`, each paired with the byte offset just past its
     /// frame — the offsets replay may stop at. The OnCommit (non-CALS)
     /// strawman caps at the durable length, so it never sees entries
     /// that are not yet durable.
-    pub fn read_frames_until(&mut self, cap: u64) -> Vec<(RedoEntry, u64)> {
-        let mut out = Vec::new();
-        while self.offset < cap {
-            let max = (cap - self.offset).min(CHUNK as u64) as usize;
-            let chunk = self.fs.read_log(REDO_LOG_NAME, self.offset, max);
-            if chunk.is_empty() {
-                break;
-            }
-            self.carry(chunk);
+    ///
+    /// A complete frame that fails to decode is an error. Every entry
+    /// before it is in `out`, and the reader stays at the bad frame, so
+    /// a retry fails the same way instead of skipping it.
+    pub fn read_frames_until(&mut self, cap: u64, out: &mut Vec<(RedoEntry, u64)>) -> Result<()> {
+        loop {
             // Log offset of `buf[0]`.
             let base = self.offset - self.buf.len() as u64;
             let mut pos = 0;
-            while let Ok(Some((entry, used))) = RedoEntry::decode(&self.buf[pos..]) {
-                pos += used;
-                out.push((entry, base + pos as u64));
-            }
+            let decoded = loop {
+                match RedoEntry::decode(&self.buf[pos..]) {
+                    Ok(Some((entry, used))) => {
+                        pos += used;
+                        out.push((entry, base + pos as u64));
+                    }
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            };
             self.buf.drain(..pos);
+            decoded?;
+            if self.offset >= cap {
+                return Ok(());
+            }
+            let max = (cap - self.offset).min(CHUNK as u64) as usize;
+            let chunk = self.fs.read_log(REDO_LOG_NAME, self.offset, max);
+            if chunk.is_empty() {
+                return Ok(());
+            }
+            self.carry(chunk);
         }
-        out
     }
 
     /// Block (up to `timeout`) for new log data, then decode at most
-    /// `max_bytes` of it, as [`LogReader::read_frames_until`] does.
-    pub fn wait_and_read(&mut self, timeout: Duration, max_bytes: u64) -> Vec<(RedoEntry, u64)> {
+    /// `max_bytes` of it into `out`, as
+    /// [`LogReader::read_frames_until`] does.
+    pub fn wait_and_read(
+        &mut self,
+        timeout: Duration,
+        max_bytes: u64,
+        out: &mut Vec<(RedoEntry, u64)>,
+    ) -> Result<()> {
         self.fs.wait_for_growth(REDO_LOG_NAME, self.offset, timeout);
-        self.read_frames_until(self.offset.saturating_add(max_bytes))
+        self.read_frames_until(self.offset.saturating_add(max_bytes), out)
     }
 }
 
@@ -106,6 +107,12 @@ mod tests {
     use crate::record::RedoPayload;
     use crate::writer::{LogWriter, PropagationMode};
     use imci_common::{PageId, TableId, Tid, Vid};
+
+    fn frames(r: &mut LogReader) -> Vec<(RedoEntry, u64)> {
+        let mut out = Vec::new();
+        r.read_frames_until(u64::MAX, &mut out).unwrap();
+        out
+    }
 
     #[test]
     fn reads_in_order_across_chunks() {
@@ -125,10 +132,9 @@ mod tests {
             .unwrap();
         }
         w.commit(Tid(1), Vid(1)).unwrap();
-        let mut r = LogReader::new(fs, 0);
-        let es = r.read_available();
+        let es = frames(&mut LogReader::new(fs, 0));
         assert_eq!(es.len(), 501);
-        for (i, e) in es.iter().enumerate() {
+        for (i, (e, _)) in es.iter().enumerate() {
             assert_eq!(e.lsn.get(), (i + 1) as u64);
         }
     }
@@ -146,7 +152,7 @@ mod tests {
         )
         .unwrap();
         let mut r = LogReader::new(fs.clone(), 0);
-        assert_eq!(r.read_available().len(), 1);
+        assert_eq!(frames(&mut r).len(), 1);
         let off = r.offset();
         w.append(
             Tid(1),
@@ -156,10 +162,9 @@ mod tests {
             RedoPayload::Delete { pk: 2 },
         )
         .unwrap();
-        let mut r2 = LogReader::new(fs, off);
-        let es = r2.read_available();
+        let es = frames(&mut LogReader::new(fs, off));
         assert_eq!(es.len(), 1);
-        assert_eq!(es[0].lsn.get(), 2);
+        assert_eq!(es[0].0.lsn.get(), 2);
     }
 
     #[test]
@@ -180,16 +185,16 @@ mod tests {
             .unwrap();
         }
         let len = fs.log_len(REDO_LOG_NAME);
-        let frames = LogReader::new(fs.clone(), 0).read_frames_until(len);
-        assert_eq!(frames.len(), 300);
-        assert_eq!(frames[299].1, len);
+        let all = frames(&mut LogReader::new(fs.clone(), 0));
+        assert_eq!(all.len(), 300);
+        assert_eq!(all[299].1, len);
         // Every frame end is where a fresh reader picks up the next entry.
-        for (i, (_, end)) in frames.iter().enumerate().step_by(37) {
-            let next = LogReader::new(fs.clone(), *end).read_available();
+        for (i, (_, end)) in all.iter().enumerate().step_by(37) {
+            let next = frames(&mut LogReader::new(fs.clone(), *end));
             assert_eq!(next.len(), 299 - i);
             assert_eq!(
-                next.first().map(|e| e.lsn.get()),
-                frames.get(i + 1).map(|f| f.0.lsn.get())
+                next.first().map(|f| f.0.lsn.get()),
+                all.get(i + 1).map(|f| f.0.lsn.get())
             );
         }
     }
@@ -219,14 +224,15 @@ mod tests {
         // Small reads leave a partial frame in the carry-over buffer at
         // nearly every boundary; large ones adopt whole chunks.
         let mut r = LogReader::new(fs.clone(), 0);
-        let mut frames = Vec::new();
+        let mut chunked = Vec::new();
         while r.offset() < len {
-            frames.extend(r.wait_and_read(Duration::ZERO, 7_777));
+            r.wait_and_read(Duration::ZERO, 7_777, &mut chunked)
+                .unwrap();
         }
-        let whole = LogReader::new(fs, 0).read_frames_until(len);
-        assert_eq!(frames.len(), n);
+        let whole = frames(&mut LogReader::new(fs, 0));
+        assert_eq!(chunked.len(), n);
         assert_eq!(whole.len(), n);
-        for (i, ((a, end_a), (b, end_b))) in frames.iter().zip(&whole).enumerate() {
+        for (i, ((a, end_a), (b, end_b))) in chunked.iter().zip(&whole).enumerate() {
             assert_eq!((a.lsn, end_a), (b.lsn, end_b));
             match &a.payload {
                 RedoPayload::Insert { pk, image } => {
@@ -236,7 +242,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(frames[n - 1].1, len);
+        assert_eq!(chunked[n - 1].1, len);
     }
 
     #[test]
@@ -256,10 +262,33 @@ mod tests {
             },
         )
         .unwrap();
-        let mut r = LogReader::new(fs, 0);
-        let es = r.read_available();
+        let es = frames(&mut LogReader::new(fs, 0));
         assert_eq!(es.len(), 1);
-        assert_eq!(es[0].tid, Tid(42));
-        assert!(!es[0].payload.is_decision());
+        assert_eq!(es[0].0.tid, Tid(42));
+        assert!(!es[0].0.payload.is_decision());
+    }
+
+    #[test]
+    fn undecodable_frame_stops_the_read_and_is_never_skipped() {
+        let fs = PolarFs::instant();
+        let w = LogWriter::new(fs.clone(), PropagationMode::ReuseRedo);
+        w.commit(Tid(1), Vid(1)).unwrap();
+        let mut bad = RedoEntry {
+            payload: RedoPayload::Abort,
+            ..frames(&mut LogReader::new(fs.clone(), 0)).remove(0).0
+        }
+        .encode();
+        *bad.last_mut().unwrap() = 200; // no such record type
+        fs.append(REDO_LOG_NAME, &bad);
+        w.commit(Tid(2), Vid(2)).unwrap();
+        let mut r = LogReader::new(fs, 0);
+        let mut out = Vec::new();
+        assert!(r.read_frames_until(u64::MAX, &mut out).is_err());
+        assert_eq!(out.len(), 1, "the entry before the bad frame is kept");
+        // Retrying hits the same frame; the commit behind it never shows.
+        for _ in 0..2 {
+            assert!(r.read_frames_until(u64::MAX, &mut out).is_err());
+            assert_eq!(out.len(), 1);
+        }
     }
 }

@@ -1,14 +1,16 @@
 //! REDO record types and their binary codec.
 
-use imci_common::{DdlOp, Error, Lsn, PageId, Result, RowDiff, TableId, Tid, Vid};
+use imci_common::codec::{encode_frame, put_bytes, put_i64, put_u32, put_u64, split_frame};
+use imci_common::{ByteReader, DdlOp, Lsn, PageId, Result, RowDiff, TableId, Tid, Vid};
 
 /// Payload of a REDO entry, discriminated by record type.
 ///
 /// `Insert`/`Update`/`Delete` act on a leaf page slot identified by the
 /// row's primary key. `Smo*` records describe structure modification
-/// operations; each touches exactly one page so that Phase-1's
-/// page-partitioned parallel replay never needs cross-worker
-/// coordination (paper §5.2: "Phase #1 is page-grained").
+/// operations; each touches exactly one page, so replay can test each
+/// record against that page's `last_lsn` alone and re-applying a
+/// prefix of the log is a no-op (paper §5.2: "Phase #1 is
+/// page-grained").
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoPayload {
     /// Insert `row image` at key `pk` into a leaf page.
@@ -129,195 +131,120 @@ pub struct RedoEntry {
 //   u64 lsn | u64 prev_lsn | u64 tid | u64 table_id | u64 page_id
 //   | u32 slot_id | u8 kind | payload bytes.
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(Error::Storage("redo entry truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-}
-
 impl RedoEntry {
     /// Encode to the framed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64);
-        put_u64(&mut body, self.lsn.get());
-        put_u64(&mut body, self.prev_lsn.get());
-        put_u64(&mut body, self.tid.get());
-        put_u64(&mut body, self.table_id.get());
-        put_u64(&mut body, self.page_id.get());
-        put_u32(&mut body, self.slot_id);
-        body.push(self.payload.kind_tag());
-        match &self.payload {
-            RedoPayload::Insert { pk, image } => {
-                put_i64(&mut body, *pk);
-                put_bytes(&mut body, image);
-            }
-            RedoPayload::Update { pk, diff } => {
-                put_i64(&mut body, *pk);
-                put_u32(&mut body, diff.new_len);
-                put_u32(&mut body, diff.splices.len() as u32);
-                for (off, bytes) in &diff.splices {
-                    put_u32(&mut body, *off);
-                    put_bytes(&mut body, bytes);
+        encode_frame(68, |body| {
+            put_u64(body, self.lsn.get());
+            put_u64(body, self.prev_lsn.get());
+            put_u64(body, self.tid.get());
+            put_u64(body, self.table_id.get());
+            put_u64(body, self.page_id.get());
+            put_u32(body, self.slot_id);
+            body.push(self.payload.kind_tag());
+            match &self.payload {
+                RedoPayload::Insert { pk, image } => {
+                    put_i64(body, *pk);
+                    put_bytes(body, image);
                 }
-            }
-            RedoPayload::Delete { pk } => put_i64(&mut body, *pk),
-            RedoPayload::SmoTruncate { from_pk } => put_i64(&mut body, *from_pk),
-            RedoPayload::SmoLeafWrite { entries, next_leaf } => {
-                put_u32(&mut body, entries.len() as u32);
-                for (pk, img) in entries {
-                    put_i64(&mut body, *pk);
-                    put_bytes(&mut body, img);
+                RedoPayload::Update { pk, diff } => {
+                    put_i64(body, *pk);
+                    put_u32(body, diff.new_len);
+                    put_u32(body, diff.splices.len() as u32);
+                    for (off, bytes) in &diff.splices {
+                        put_u32(body, *off);
+                        put_bytes(body, bytes);
+                    }
                 }
-                put_u64(&mut body, next_leaf.map_or(u64::MAX, |p| p.get()));
-            }
-            RedoPayload::SmoSetNext { next_leaf } => {
-                put_u64(&mut body, next_leaf.map_or(u64::MAX, |p| p.get()));
-            }
-            RedoPayload::SmoParentInsert { key, child } => {
-                put_i64(&mut body, *key);
-                put_u64(&mut body, child.get());
-            }
-            RedoPayload::SmoInternalWrite { keys, children } => {
-                put_u32(&mut body, keys.len() as u32);
-                for k in keys {
-                    put_i64(&mut body, *k);
+                RedoPayload::Delete { pk } => put_i64(body, *pk),
+                RedoPayload::SmoTruncate { from_pk } => put_i64(body, *from_pk),
+                RedoPayload::SmoLeafWrite { entries, next_leaf } => {
+                    put_u32(body, entries.len() as u32);
+                    for (pk, img) in entries {
+                        put_i64(body, *pk);
+                        put_bytes(body, img);
+                    }
+                    put_next_leaf(body, *next_leaf);
                 }
-                put_u32(&mut body, children.len() as u32);
-                for c in children {
-                    put_u64(&mut body, c.get());
+                RedoPayload::SmoSetNext { next_leaf } => put_next_leaf(body, *next_leaf),
+                RedoPayload::SmoParentInsert { key, child } => {
+                    put_i64(body, *key);
+                    put_u64(body, child.get());
                 }
+                RedoPayload::SmoInternalWrite { keys, children } => {
+                    put_u32(body, keys.len() as u32);
+                    for k in keys {
+                        put_i64(body, *k);
+                    }
+                    put_u32(body, children.len() as u32);
+                    for c in children {
+                        put_u64(body, c.get());
+                    }
+                }
+                RedoPayload::SmoSetRoot { root } => put_u64(body, root.get()),
+                RedoPayload::Commit { commit_vid } => put_u64(body, commit_vid.get()),
+                RedoPayload::Abort => {}
+                RedoPayload::Ddl { version, op } => {
+                    put_u64(body, *version);
+                    put_bytes(body, &op.encode());
+                }
+                RedoPayload::EpochBump { epoch } => put_u64(body, *epoch),
             }
-            RedoPayload::SmoSetRoot { root } => put_u64(&mut body, root.get()),
-            RedoPayload::Commit { commit_vid } => put_u64(&mut body, commit_vid.get()),
-            RedoPayload::Abort => {}
-            RedoPayload::Ddl { version, op } => {
-                put_u64(&mut body, *version);
-                put_bytes(&mut body, &op.encode());
-            }
-            RedoPayload::EpochBump { epoch } => put_u64(&mut body, *epoch),
-        }
-        let mut out = Vec::with_capacity(body.len() + 4);
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        out
+        })
     }
 
     /// Decode one framed entry from the front of `buf`.
     /// Returns `(entry, bytes_consumed)`, or `Ok(None)` if the frame is
-    /// incomplete (reader should fetch more bytes).
+    /// incomplete (reader should fetch more bytes). A complete frame
+    /// that does not decode is an error.
+    #[inline]
     pub fn decode(buf: &[u8]) -> Result<Option<(RedoEntry, usize)>> {
-        if buf.len() < 4 {
+        let Some((body, used)) = split_frame(buf) else {
             return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        if buf.len() < 4 + body_len {
-            return Ok(None);
-        }
-        let mut r = Reader {
-            buf: &buf[4..4 + body_len],
-            pos: 0,
         };
+        let mut r = ByteReader::new(body, "redo entry");
         let lsn = Lsn(r.u64()?);
         let prev_lsn = Lsn(r.u64()?);
         let tid = Tid(r.u64()?);
         let table_id = TableId(r.u64()?);
         let page_id = PageId(r.u64()?);
         let slot_id = r.u32()?;
-        let kind = r.u8()?;
-        let payload = match kind {
+        let payload = match r.u8()? {
             1 => RedoPayload::Insert {
                 pk: r.i64()?,
-                image: r.bytes()?,
+                image: r.bytes()?.to_vec(),
             },
-            2 => {
-                let pk = r.i64()?;
-                let new_len = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut splices = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let off = r.u32()?;
-                    splices.push((off, r.bytes()?));
-                }
-                RedoPayload::Update {
-                    pk,
-                    diff: RowDiff { new_len, splices },
-                }
-            }
+            2 => RedoPayload::Update {
+                pk: r.i64()?,
+                diff: RowDiff {
+                    new_len: r.u32()?,
+                    // Offset + byte-string length.
+                    splices: r.list_u32(8, |r| Ok((r.u32()?, r.bytes()?.to_vec())))?,
+                },
+            },
             3 => RedoPayload::Delete { pk: r.i64()? },
             10 => RedoPayload::SmoTruncate { from_pk: r.i64()? },
-            11 => {
-                let n = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let pk = r.i64()?;
-                    entries.push((pk, r.bytes()?));
-                }
-                let nl = r.u64()?;
-                RedoPayload::SmoLeafWrite {
-                    entries,
-                    next_leaf: (nl != u64::MAX).then_some(PageId(nl)),
-                }
-            }
-            12 => {
-                let nl = r.u64()?;
-                RedoPayload::SmoSetNext {
-                    next_leaf: (nl != u64::MAX).then_some(PageId(nl)),
-                }
-            }
+            11 => RedoPayload::SmoLeafWrite {
+                // Key + image length.
+                entries: r.list_u32(12, |r| Ok((r.i64()?, r.bytes()?.to_vec())))?,
+                next_leaf: next_leaf(&mut r)?,
+            },
+            12 => RedoPayload::SmoSetNext {
+                next_leaf: next_leaf(&mut r)?,
+            },
             13 => RedoPayload::SmoParentInsert {
                 key: r.i64()?,
                 child: PageId(r.u64()?),
             },
             14 => {
-                let nk = r.u32()? as usize;
-                let mut keys = Vec::with_capacity(nk);
-                for _ in 0..nk {
-                    keys.push(r.i64()?);
-                }
-                let nc = r.u32()? as usize;
-                let mut children = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    children.push(PageId(r.u64()?));
+                let keys = r.list_u32(8, |r| r.i64())?;
+                let children = r.list_u32(8, |r| Ok(PageId(r.u64()?)))?;
+                if children.len() != keys.len() + 1 {
+                    return Err(r.error(format_args!(
+                        "internal write has {} keys but {} children",
+                        keys.len(),
+                        children.len()
+                    )));
                 }
                 RedoPayload::SmoInternalWrite { keys, children }
             }
@@ -328,28 +255,33 @@ impl RedoEntry {
                 commit_vid: Vid(r.u64()?),
             },
             21 => RedoPayload::Abort,
-            30 => {
-                let version = r.u64()?;
-                let op_bytes = r.bytes()?;
-                let (op, _) = DdlOp::decode(&op_bytes)?;
-                RedoPayload::Ddl { version, op }
-            }
-            40 => RedoPayload::EpochBump { epoch: r.u64()? },
-            t => return Err(Error::Storage(format!("unknown redo record type {t}"))),
-        };
-        Ok(Some((
-            RedoEntry {
-                lsn,
-                prev_lsn,
-                tid,
-                table_id,
-                page_id,
-                slot_id,
-                payload,
+            30 => RedoPayload::Ddl {
+                version: r.u64()?,
+                op: DdlOp::decode(r.bytes()?)?.0,
             },
-            4 + body_len,
-        )))
+            40 => RedoPayload::EpochBump { epoch: r.u64()? },
+            t => return Err(r.error(format_args!("unknown record type {t}"))),
+        };
+        let entry = RedoEntry {
+            lsn,
+            prev_lsn,
+            tid,
+            table_id,
+            page_id,
+            slot_id,
+            payload,
+        };
+        Ok(Some((entry, used)))
     }
+}
+
+fn put_next_leaf(out: &mut Vec<u8>, next_leaf: Option<PageId>) {
+    put_u64(out, next_leaf.map_or(u64::MAX, |p| p.get()));
+}
+
+fn next_leaf(r: &mut ByteReader<'_>) -> Result<Option<PageId>> {
+    let nl = r.u64()?;
+    Ok((nl != u64::MAX).then_some(PageId(nl)))
 }
 
 #[cfg(test)]

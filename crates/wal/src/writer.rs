@@ -226,7 +226,16 @@ impl LogWriter {
 mod tests {
     use super::*;
     use crate::reader::LogReader;
+    use crate::record::RedoEntry;
     use polarfs_sim::PolarFs;
+
+    fn entries(fs: PolarFs) -> Vec<RedoEntry> {
+        let mut out = Vec::new();
+        LogReader::new(fs, 0)
+            .read_frames_until(u64::MAX, &mut out)
+            .unwrap();
+        out.into_iter().map(|(e, _)| e).collect()
+    }
 
     #[test]
     fn lsns_are_dense_and_prev_chains_link() {
@@ -260,8 +269,7 @@ mod tests {
         let l3 = w.commit(t, Vid(1)).unwrap();
         assert_eq!((l1, l2, l3), (Lsn(1), Lsn(2), Lsn(3)));
 
-        let mut r = LogReader::new(fs, 0);
-        let es = r.read_available();
+        let es = entries(fs);
         assert_eq!(es.len(), 3);
         assert_eq!(es[0].prev_lsn, Lsn::ZERO);
         assert_eq!(es[1].prev_lsn, Lsn(1));
@@ -320,8 +328,7 @@ mod tests {
             .unwrap();
         w.append(a, TableId(1), PageId(1), 0, RedoPayload::Delete { pk: 3 })
             .unwrap();
-        let mut r = LogReader::new(fs, 0);
-        let es = r.read_available();
+        let es = entries(fs);
         assert_eq!(es[2].prev_lsn, es[0].lsn);
         assert_eq!(es[1].prev_lsn, Lsn::ZERO);
     }
@@ -410,8 +417,7 @@ mod tests {
         )
         .unwrap();
         new.commit(Tid(2), Vid(2)).unwrap();
-        let mut r = LogReader::new(fs, 0);
-        let es = r.read_available();
+        let es = entries(fs);
         // Dense LSNs across the ownership change, with the bump record
         // marking where the new writer takes over.
         for (i, e) in es.iter().enumerate() {

@@ -144,8 +144,14 @@ fn next_checkpoint_replays_only_the_entries_after_the_last_cursor() {
         c.execute(&format!("INSERT INTO t VALUES ({pk}, {pk})"))
             .unwrap();
     }
-    let suffix = LogReader::new(c.fs.clone(), cursor).read_available();
-    let whole = LogReader::new(c.fs.clone(), 0).read_available();
+    let frames_from = |offset| {
+        let mut frames = Vec::new();
+        LogReader::new(c.fs.clone(), offset)
+            .read_frames_until(u64::MAX, &mut frames)
+            .unwrap();
+        frames
+    };
+    let (suffix, whole) = (frames_from(cursor), frames_from(0));
     let (state, replayed) = take_checkpoint(&c.fs, first + 1, None, 16).unwrap();
     assert_eq!(state.checkpoint, Some(first));
     assert_eq!(replayed.entries, suffix.len());

@@ -1,8 +1,72 @@
 //! Property-based tests over core invariants (proptest).
 
-use polardb_imci::common::{Rid, Row, RowDiff, Value, Vid};
-use polardb_imci::imci::{row_visible, ColumnData, Pack, RidLocator, VID_UNSET};
+use polardb_imci::common::{
+    ColumnDef, DataType, DdlOp, IndexDef, IndexKind, Lsn, PageId, Rid, Row, RowDiff, Schema,
+    TableId, Tid, Value, Vid,
+};
+use polardb_imci::imci::{
+    decode_vids, encode_vids, row_visible, ColumnData, Pack, RidLocator, VID_UNSET,
+};
+use polardb_imci::polarfs::PolarFs;
+use polardb_imci::rowstore::{Page, PageKind, RowEngine};
+use polardb_imci::wal::{
+    BinlogEvent, BinlogKind, LogWriter, PropagationMode, RedoEntry, RedoPayload,
+};
 use proptest::prelude::*;
+
+fn demo_schema() -> Schema {
+    Schema::new(
+        TableId(1),
+        "t",
+        vec![
+            ColumnDef::not_null("id", DataType::Int),
+            ColumnDef::new("v", DataType::Str),
+        ],
+        vec![
+            IndexDef {
+                kind: IndexKind::Primary,
+                name: "PRIMARY".into(),
+                columns: vec![0],
+            },
+            IndexDef {
+                kind: IndexKind::Column,
+                name: "ci".into(),
+                columns: vec![0, 1],
+            },
+        ],
+    )
+    .unwrap()
+}
+
+fn catalog() -> Vec<u8> {
+    let fs = PolarFs::instant();
+    let rw = RowEngine::new_rw(
+        fs.clone(),
+        LogWriter::new(fs, PropagationMode::ReuseRedo),
+        1 << 20,
+    );
+    let s = demo_schema();
+    rw.create_table("t", s.columns.clone(), s.indexes.clone())
+        .unwrap();
+    rw.export_catalog()
+}
+
+/// Decode every strict prefix of `enc`, and `enc` with each 8-byte
+/// window set to 0xFF: the decoder may accept or reject each, but must
+/// not panic.
+fn check(format: &str, enc: &[u8], decode: impl Fn(&[u8])) {
+    let prefixes = (0..enc.len()).map(|n| enc[..n].to_vec());
+    let windows = (0..=enc.len().saturating_sub(8)).map(|i| {
+        let mut b = enc.to_vec();
+        let end = (i + 8).min(b.len());
+        b[i..end].fill(0xFF);
+        b
+    });
+    for bytes in prefixes.chain(windows) {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(&bytes)));
+        assert!(outcome.is_ok(), "{format} decoder panicked on {bytes:02x?}");
+    }
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -22,6 +86,71 @@ proptest! {
         let row = Row::new(values);
         let decoded = Row::decode(&row.encode()).unwrap();
         prop_assert_eq!(row, decoded);
+    }
+
+    #[test]
+    fn corrupt_encodings_decode_or_fail_cleanly(
+        values in prop::collection::vec(arb_value(), 0..6),
+        pks in prop::collection::vec(any::<i64>(), 0..4),
+    ) {
+        let image = Row::new(values.clone()).encode();
+        let schema = demo_schema();
+        let ddl = DdlOp::CreateTable { schema: schema.clone(), meta_page: PageId(3) };
+        check("row", &image, |b| drop(Row::decode(b)));
+        check("schema", &schema.encode(), |b| drop(Schema::decode(b)));
+        check("ddl", &ddl.encode(), |b| drop(DdlOp::decode(b)));
+
+        let entries: Vec<(i64, Vec<u8>)> = pks.iter().map(|&pk| (pk, image.clone())).collect();
+        let keys: Vec<i64> = pks.clone();
+        let children: Vec<PageId> = (0..=pks.len() as u64).map(PageId).collect();
+        for payload in [
+            RedoPayload::Insert { pk: 1, image: image.clone() },
+            RedoPayload::Update { pk: 1, diff: RowDiff::between(&[], &image) },
+            RedoPayload::SmoLeafWrite { entries: entries.clone(), next_leaf: None },
+            RedoPayload::SmoInternalWrite { keys: keys.clone(), children: children.clone() },
+            RedoPayload::Ddl { version: 1, op: ddl.clone() },
+        ] {
+            let e = RedoEntry {
+                lsn: Lsn(1), prev_lsn: Lsn(0), tid: Tid(1), table_id: TableId(1),
+                page_id: PageId(1), slot_id: 0, payload,
+            };
+            check("redo", &e.encode(), |b| drop(RedoEntry::decode(b)));
+        }
+        for kind in [
+            BinlogKind::Insert { row: Row::new(values.clone()) },
+            BinlogKind::Update { pk: 1, row: Row::new(values.clone()) },
+            BinlogKind::Ddl { version: 1, op: ddl.clone() },
+        ] {
+            let ev = BinlogEvent { tid: Tid(1), table_id: TableId(1), kind };
+            check("binlog", &ev.encode(), |b| drop(BinlogEvent::decode(b)));
+        }
+        for kind in [
+            PageKind::Leaf { entries, next: Some(PageId(9)) },
+            PageKind::Internal { keys, children },
+        ] {
+            let page = Page { id: PageId(1), last_lsn: Lsn(1), dirty: false, kind };
+            check("page", &page.encode(), |b| drop(Page::decode(b)));
+        }
+
+        for ty in [DataType::Int, DataType::Double, DataType::Str] {
+            let mut col = ColumnData::new(ty);
+            for (i, v) in values.iter().enumerate() {
+                let v = if v.data_type() == Some(ty) { v.clone() } else { Value::Null };
+                col.set(i, &v).unwrap();
+            }
+            check("pack", &Pack::seal(&col).encode(), |b| drop(Pack::decode_bytes(b)));
+        }
+        let loc = RidLocator::new(16);
+        for (i, &pk) in pks.iter().enumerate() {
+            loc.insert(pk, Rid(i as u64));
+        }
+        check("locator", &loc.snapshot().encode(), |b| drop(RidLocator::decode(b, 16)));
+        let vids: Vec<u64> = pks.iter().map(|&pk| pk as u64).collect();
+        check("vid map", &encode_vids(&vids, &vids), |b| drop(decode_vids(b)));
+        check("catalog", &catalog(), |b| {
+            let replica = RowEngine::new_replica(PolarFs::instant(), 1 << 20);
+            drop(replica.import_catalog(b))
+        });
     }
 
     #[test]
@@ -82,7 +211,6 @@ proptest! {
 
     #[test]
     fn column_index_updates_converge(updates in prop::collection::vec((0i64..20, 0i64..1000), 1..100)) {
-        use polardb_imci::common::{ColumnDef, DataType, IndexDef, IndexKind, Schema, TableId};
         let schema = Schema::new(
             TableId(1), "t",
             vec![ColumnDef::not_null("id", DataType::Int), ColumnDef::new("v", DataType::Int)],
