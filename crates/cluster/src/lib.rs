@@ -819,16 +819,24 @@ impl Cluster {
         if let Some(node) = least_loaded(consistency == Consistency::Strong) {
             return Ok(node);
         }
-        // Strong consistency with lagging ROs: park (condvar, not a
-        // spin — a busy-wait here burns a core per blocked read) until
-        // one catches up.
+        // Strong consistency with lagging ROs: fence on the least
+        // loaded one.
         let node =
             least_loaded(false).ok_or_else(|| Error::Execution("no RO nodes available".into()))?;
         drop(ros);
-        if !node.pipeline.wait_applied(target, Duration::from_secs(30)) {
-            return Err(Error::Execution("strong consistency wait timed out".into()));
-        }
+        self.fence(&node, target)?;
         Ok(node)
+    }
+
+    /// The §6.4 strong-consistency fence: park (condvar, not a spin — a
+    /// busy-wait here burns a core per blocked read) until `node` has
+    /// applied the log up to `target`.
+    fn fence(&self, node: &RoNode, target: u64) -> Result<()> {
+        if node.pipeline.wait_applied(target, Duration::from_secs(30)) {
+            Ok(())
+        } else {
+            Err(Error::Execution("strong consistency wait timed out".into()))
+        }
     }
 
     /// Execute one SQL statement through the proxy: SELECTs go to an RO
@@ -843,14 +851,57 @@ impl Cluster {
     /// own consistency level and engine pin without touching
     /// cluster-global or node-global state.
     pub fn execute_opts(&self, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
-        if imci_sql::is_read_only(sql) && !self.ros.read().is_empty() {
-            let consistency = opts.consistency.unwrap_or(self.config.consistency);
-            let node = self.route_ro_with(consistency)?;
-            let _session = SessionGuard::enter(&node);
-            let result = self.execute_on_ro(&node, sql, opts);
-            return self.absolve_retired_ro(&node, result);
+        self.execute_routed(sql, opts, &mut None)
+    }
+
+    /// Execute a run of statements (pipelined or batched) in one proxy
+    /// call: routing is resolved **once per run** (one `route_ro_with`,
+    /// one session-counter update), and per-statement errors are
+    /// returned in place. Under `Strong`, each read still waits for
+    /// every write committed so far, earlier ones in the run included.
+    pub fn execute_many(
+        &self,
+        stmts: &[impl AsRef<str>],
+        opts: ExecOpts,
+    ) -> Vec<Result<QueryResult>> {
+        let mut held = None;
+        stmts
+            .iter()
+            .map(|sql| self.execute_routed(sql.as_ref(), opts, &mut held))
+            .collect()
+    }
+
+    /// Route, fence and run one statement: writes on the RW node, reads
+    /// on the RO `held` carries or, when it holds none, on a freshly
+    /// routed one it then carries. No catalog-miss retry: an RO's
+    /// catalog is versioned with the log, and strong reads fence on DDL
+    /// commits, so they always see the catalog their session expects.
+    fn execute_routed(
+        &self,
+        sql: &str,
+        opts: ExecOpts,
+        held: &mut Option<SessionGuard>,
+    ) -> Result<QueryResult> {
+        if !imci_sql::is_read_only(sql) || self.ros.read().is_empty() {
+            return self.execute_rw(sql, opts);
         }
-        self.execute_rw(sql, opts)
+        let consistency = opts.consistency.unwrap_or(self.config.consistency);
+        let (node, fenced) = match held {
+            // A held route fences again: statements since it was
+            // resolved may have advanced the written LSN.
+            Some(guard) if consistency == Consistency::Strong => (
+                guard.node.clone(),
+                self.fence(&guard.node, self.written_lsn()),
+            ),
+            Some(guard) => (guard.node.clone(), Ok(())),
+            None => {
+                let node = self.route_ro_with(consistency)?;
+                *held = Some(SessionGuard::enter(&node));
+                (node, Ok(()))
+            }
+        };
+        let result = fenced.and_then(|()| node.query.run(sql, &opts.query));
+        self.absolve_retired_ro(&node, result)
     }
 
     /// Re-categorize a read error as retryable when the RO it ran on
@@ -876,66 +927,6 @@ impl Cluster {
     /// Whether `node` is no longer in the proxy's routing set.
     fn ro_retired(&self, node: &Arc<RoNode>) -> bool {
         !self.ros.read().iter().any(|n| Arc::ptr_eq(n, node))
-    }
-
-    /// Execute a batch of statements in one proxy call — the service
-    /// tier's `BATCH` fast path. Inter-node routing is resolved **once
-    /// per batch** (one `route_ro_with`, one session-counter update)
-    /// instead of once per statement; per-statement errors are returned
-    /// in place so one bad statement doesn't void the rest.
-    ///
-    /// Consistency: under `Strong`, each read in the batch still waits
-    /// for the chosen RO to apply every write committed so far —
-    /// including writes earlier in the same batch — so read-your-writes
-    /// holds within a batch.
-    pub fn execute_many(
-        &self,
-        stmts: &[impl AsRef<str>],
-        opts: ExecOpts,
-    ) -> Vec<Result<QueryResult>> {
-        let consistency = opts.consistency.unwrap_or(self.config.consistency);
-        let mut out = Vec::with_capacity(stmts.len());
-        // One routing decision (and one session-counter hold) for all
-        // reads in the batch.
-        let mut ro: Option<SessionGuard> = None;
-        for sql in stmts {
-            let sql = sql.as_ref();
-            if imci_sql::is_read_only(sql) && !self.ros.read().is_empty() {
-                let resolved = match &ro {
-                    Some(guard) => Ok(guard.node.clone()),
-                    None => self
-                        .route_ro_with(consistency)
-                        .inspect(|node| ro = Some(SessionGuard::enter(node))),
-                };
-                out.push(resolved.and_then(|node| {
-                    // Re-arm the strong-consistency fence: writes earlier
-                    // in this batch advanced the written LSN after the
-                    // route was resolved.
-                    let result = if consistency == Consistency::Strong
-                        && !node
-                            .pipeline
-                            .wait_applied(self.written_lsn(), Duration::from_secs(30))
-                    {
-                        Err(Error::Execution("strong consistency wait timed out".into()))
-                    } else {
-                        self.execute_on_ro(&node, sql, opts)
-                    };
-                    self.absolve_retired_ro(&node, result)
-                }));
-            } else {
-                out.push(self.execute_rw(sql, opts));
-            }
-        }
-        out
-    }
-
-    /// Run one read on a specific RO node (routing already done). No
-    /// catalog-miss retry: the RO catalog is versioned with the log, so
-    /// a table the node doesn't know simply does not exist at its
-    /// applied LSN — strong-consistency reads fence on DDL commits and
-    /// therefore always see the catalog their session expects.
-    fn execute_on_ro(&self, node: &RoNode, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
-        node.query.run(sql, &opts.query)
     }
 
     /// Run one write/DDL statement on the RW node. DDL (CREATE / DROP /

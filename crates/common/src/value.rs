@@ -24,11 +24,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Whether the type is stored in a fixed-width numeric pack.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Double | DataType::Date)
-    }
-
     /// Parse a MySQL-ish type name, e.g. `INT(11)`, `VARCHAR(32)`.
     pub fn parse_sql(name: &str) -> Result<DataType> {
         let base = name

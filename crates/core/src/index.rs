@@ -294,15 +294,6 @@ impl ColumnIndex {
         }
     }
 
-    /// Open a snapshot at an explicit CSN (proxy-selected consistency).
-    pub fn snapshot_at(self: &Arc<Self>, csn: u64) -> Snapshot {
-        *self.active.lock().entry(csn).or_insert(0) += 1;
-        Snapshot {
-            csn,
-            index: self.clone(),
-        }
-    }
-
     /// Oldest CSN any active snapshot reads at (or the watermark when
     /// idle) — the GC horizon for compaction and VID-map dropping.
     pub fn min_active_csn(&self) -> u64 {

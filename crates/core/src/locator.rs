@@ -209,13 +209,6 @@ impl RidLocator {
         Ok(loc)
     }
 
-    /// Approximate number of live mappings.
-    pub fn approx_len(&self) -> usize {
-        let mt = self.memtable.read().len();
-        let runs: usize = self.runs.read().iter().map(|r| r.len()).sum();
-        mt + runs
-    }
-
     /// Number of immutable runs (tests / stats).
     pub fn run_count(&self) -> usize {
         self.runs.read().len()

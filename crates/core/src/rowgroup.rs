@@ -133,14 +133,6 @@ impl RowGroup {
         self.delete_vids.set(offset, vid);
     }
 
-    /// Clear both VIDs (abort of a pre-committed large transaction).
-    pub fn clear_vids(&self, offset: usize) {
-        if let Some(m) = self.insert_vids.read().as_ref() {
-            m.clear(offset);
-        }
-        self.delete_vids.clear(offset);
-    }
-
     /// Insert VID of `offset` (0 if the map was dropped: "visible since
     /// forever").
     pub fn insert_vid(&self, offset: usize) -> u64 {

@@ -31,15 +31,6 @@ impl Batch {
         self.cols.iter().map(|c| c.get(r)).collect()
     }
 
-    /// Append row `r` of `src` to this batch.
-    pub fn push_row_from(&mut self, src: &Batch, r: usize) -> Result<()> {
-        for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
-            dst.set(self.len, &s.get(r))?;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
     /// Append a row of values.
     pub fn push_values(&mut self, values: &[Value]) -> Result<()> {
         for (dst, v) in self.cols.iter_mut().zip(values) {

@@ -125,11 +125,6 @@ impl TxnBuffers {
         self.units.len()
     }
 
-    /// Total buffered ops across units (memory pressure signal).
-    pub fn buffered_ops(&self) -> usize {
-        self.units.values().map(|u| u.ops.len()).sum()
-    }
-
     /// Park one logical DML into its transaction's buffer unit.
     /// `store` is needed for the pre-commit path.
     pub fn add_dml(&mut self, change: LogicalChange, store: &ColumnStore) -> Result<()> {

@@ -79,11 +79,6 @@ impl BufferPool {
         Ok(self.install(page))
     }
 
-    /// Fetch a page if it exists in the pool or shared storage.
-    pub fn try_get(&self, id: PageId) -> Option<Arc<RwLock<Page>>> {
-        self.get(id).ok()
-    }
-
     /// Fetch a page only if it is resident in this pool (no fallback to
     /// shared storage). Replay uses this: an RO node's pages are created
     /// exclusively by its own log replay (or checkpoint load), so a miss

@@ -37,13 +37,6 @@ pub struct Txn {
     pub(crate) undo: Vec<UndoOp>,
 }
 
-impl Txn {
-    /// Number of DMLs executed so far.
-    pub fn n_ops(&self) -> usize {
-        self.undo.len()
-    }
-}
-
 /// Issues TIDs and commit sequence numbers; owns the commit path.
 pub struct TxnManager {
     next_tid: AtomicU64,

@@ -10,7 +10,8 @@
 //!
 //! * [`protocol`] — the wire protocol: text request lines (SQL plus
 //!   per-session `SET CONSISTENCY STRONG|EVENTUAL`,
-//!   `SET FORCE_ENGINE ROW|COLUMN|AUTO` and `SET TENANT <name>`),
+//!   `SET FORCE_ENGINE ROW|COLUMN|AUTO`, `SET PARALLELISM <n>` and
+//!   `SET TENANT <name>`),
 //!   `HELLO` version negotiation, `BATCH <n>` framing, and two response
 //!   encodings — v1 text (netcat friendly) and v2 length-prefixed
 //!   binary rows;
@@ -20,8 +21,9 @@
 //!   ([`Server`]): epoll readiness loops plus a shared worker pool map
 //!   sessions onto [`imci_cluster::Cluster`]'s proxy routing, with
 //!   pipelining (many requests in flight per connection, responses
-//!   strictly ordered), a batch fast path through
-//!   [`imci_cluster::Cluster::execute_many`], and admission control
+//!   strictly ordered), one answer function for pipelined requests and
+//!   `BATCH` bodies alike (each run of plain queries through one
+//!   [`imci_cluster::Cluster::execute_many`]), and admission control
 //!   that sheds overload with retryable `busy` errors instead of
 //!   queueing unboundedly;
 //! * [`client`] — a blocking client ([`Client`]) for tests, examples,
@@ -283,6 +285,88 @@ mod tests {
             results[33].as_ref().unwrap().rows,
             vec![vec![Value::Int(29)]]
         );
+        server.shutdown();
+        cluster.shutdown();
+    }
+
+    /// One mixed request sequence against table `t`, with everything a
+    /// response carries that must not depend on how it was sent: the
+    /// table name is masked out of error messages, and `STATUS` is
+    /// compared by its column names.
+    fn mixed_sequence(t: &str) -> Vec<String> {
+        [
+            "SET CONSISTENCY STRONG",
+            "INSERT INTO {t} VALUES (1, 10)",
+            "SELECT v FROM {t} WHERE id = 1",
+            "STATUS",
+            "STMT 7 INSERT INTO {t} VALUES (2, 20)",
+            "STMT 7 INSERT INTO {t} VALUES (2, 20)",
+            "SELECT v FROM no_such_table WHERE id = 1",
+            "INSERT INTO {t} VALUES (1, 10)",
+        ]
+        .iter()
+        .map(|s| s.replace("{t}", t))
+        .collect()
+    }
+
+    fn comparable(t: &str, r: imci_common::Result<imci_sql::QueryResult>) -> String {
+        match r {
+            Ok(q) if q.columns.first().map(String::as_str) == Some("role") => {
+                format!("STATUS {:?}", q.columns)
+            }
+            Ok(q) => format!("{:?} {:?} {}", q.columns, q.rows, q.affected),
+            Err(e) => format!("ERR {} {}", e.kind(), e.message().replace(t, "<t>")),
+        }
+    }
+
+    #[test]
+    fn pipelined_and_batched_requests_get_the_same_answers() {
+        let (server, cluster) = serve_small_cluster();
+        let mut answers = Vec::new();
+        for (t, batched) in [("one_path_pipe", false), ("one_path_batch", true)] {
+            let mut admin = Client::connect(server.local_addr()).unwrap();
+            admin
+                .execute(&format!(
+                    "CREATE TABLE {t} (id INT NOT NULL, v INT, PRIMARY KEY(id))"
+                ))
+                .unwrap();
+            // A fresh session per run: the STMT journal is per session.
+            let mut c = Client::connect(server.local_addr()).unwrap();
+            let seq = mixed_sequence(t);
+            let results = if batched {
+                c.execute_batch(&seq).unwrap()
+            } else {
+                for line in &seq {
+                    c.send(line).unwrap();
+                }
+                seq.iter().map(|_| c.recv()).collect()
+            };
+            let results: Vec<_> = results.into_iter().map(|r| comparable(t, r)).collect();
+            // The resent STMT id was answered from the journal: one row
+            // with id 2, not two.
+            let count = c.execute(&format!("SELECT COUNT(*) FROM {t}")).unwrap();
+            assert_eq!(count.rows, vec![vec![Value::Int(2)]], "{t}");
+            answers.push(results);
+        }
+        assert_eq!(answers[0].len(), 8);
+        assert_eq!(answers[0], answers[1]);
+        assert!(answers[0][3].starts_with("STATUS [\"role\""), "{answers:?}");
+        assert_eq!(answers[0][2], "[\"v\"] [[Int(10)]] 0");
+        assert_eq!(answers[0][5], answers[0][4]);
+        assert!(answers[0][6].starts_with("ERR catalog "), "{answers:?}");
+        assert!(answers[0][7].starts_with("ERR constraint "), "{answers:?}");
+
+        // HELLO inside a batch answers an error sub-response; the batch
+        // and the session go on.
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let results = c
+            .execute_batch(&["HELLO 2", "SELECT COUNT(*) FROM one_path_pipe"])
+            .unwrap();
+        assert!(matches!(results[0], Err(imci_common::Error::Execution(_))));
+        assert!(results[1].is_ok());
+        assert!(c
+            .execute("SELECT v FROM one_path_pipe WHERE id = 1")
+            .is_ok());
         server.shutdown();
         cluster.shutdown();
     }

@@ -14,7 +14,6 @@
 //! SET FORCE_ENGINE ROW|COLUMN|AUTO
 //! SET TENANT <name>                    fairness lane for scheduling
 //! SET PARALLELISM <n>                  morsel-parallelism cap (n >= 1)
-//! SET LATE_MATERIALIZATION ON|OFF      late-materialized scan toggle
 //! BATCH <n>                            the next n lines are one batch
 //! <any SQL statement>
 //! ```
@@ -69,7 +68,7 @@ use crate::wire;
 use imci_cluster::Consistency;
 use imci_common::{Error, Result, Value};
 use imci_sql::{EngineChoice, QueryResult};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Highest response-protocol version this build speaks.
 pub const MAX_VERSION: u32 = 2;
@@ -105,9 +104,6 @@ pub enum SessionSetting {
     /// `SET PARALLELISM <n>` — cap morsel parallelism for this
     /// session's column-engine SELECTs (n ≥ 1).
     Parallelism(usize),
-    /// `SET LATE_MATERIALIZATION ON|OFF` — toggle the late-materialized
-    /// scan path for this session's column-engine SELECTs.
-    LateMaterialization(bool),
 }
 
 /// One parsed client request.
@@ -225,13 +221,6 @@ pub fn parse_request(line: &str) -> Request {
                         return Request::Set(SessionSetting::Parallelism(n));
                     }
                 }
-            } else if w1.eq_ignore_ascii_case("LATE_MATERIALIZATION") {
-                if w2.eq_ignore_ascii_case("ON") {
-                    return Request::Set(SessionSetting::LateMaterialization(true));
-                }
-                if w2.eq_ignore_ascii_case("OFF") {
-                    return Request::Set(SessionSetting::LateMaterialization(false));
-                }
             }
         }
     }
@@ -333,35 +322,46 @@ fn engine_name(e: EngineChoice) -> &'static str {
     }
 }
 
-/// Serialize one response in the v1 text encoding (server side). Does
-/// **not** flush: the session loop flushes once no further pipelined
-/// requests are pending, which is what makes pipelining pay off.
-pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> std::io::Result<()> {
+/// Encode one response in the v1 text encoding, appended to `out`.
+/// Does **not** flush: the session loop flushes once no further
+/// pipelined requests are pending, which is what makes pipelining pay
+/// off.
+pub fn encode_response_v1(out: &mut Vec<u8>, resp: &Response) {
+    // Cells of one line, tab-separated, then the newline.
+    fn line<I: IntoIterator<Item = String>>(out: &mut Vec<u8>, cells: I) {
+        for (i, cell) in cells.into_iter().enumerate() {
+            if i > 0 {
+                out.push(b'\t');
+            }
+            out.extend_from_slice(cell.as_bytes());
+        }
+        out.push(b'\n');
+    }
     match resp {
-        Response::Ok { affected } => writeln!(w, "OK {affected}")?,
-        Response::Err { kind, msg } => writeln!(w, "ERR {kind} {}", escape(msg))?,
+        Response::Ok { affected } => line(out, [format!("OK {affected}")]),
+        Response::Err { kind, msg } => line(out, [format!("ERR {kind} {}", escape(msg))]),
         Response::Rows {
             columns,
             rows,
             engine,
         } => {
-            writeln!(w, "ROWS {} {}", rows.len(), engine_name(*engine))?;
-            let header: Vec<String> = columns.iter().map(|c| escape(c)).collect();
-            writeln!(w, "{}", header.join("\t"))?;
+            line(
+                out,
+                [format!("ROWS {} {}", rows.len(), engine_name(*engine))],
+            );
+            line(out, columns.iter().map(|c| escape(c)));
             for row in rows {
-                let cells: Vec<String> = row.iter().map(encode_value).collect();
-                writeln!(w, "{}", cells.join("\t"))?;
+                line(out, row.iter().map(encode_value));
             }
-            writeln!(w, "END")?;
+            out.extend_from_slice(b"END\n");
         }
         Response::Batch(parts) => {
-            writeln!(w, "BATCH {}", parts.len())?;
+            line(out, [format!("BATCH {}", parts.len())]);
             for part in parts {
-                write_response(w, part)?;
+                encode_response_v1(out, part);
             }
         }
     }
-    Ok(())
 }
 
 /// Read one v1 text response from a buffered reader (client side).
@@ -510,14 +510,6 @@ pub fn encode_response_v2(out: &mut Vec<u8>, resp: &Response) {
     }
 }
 
-/// Serialize one response as a v2 binary frame (server side). Like
-/// [`write_response`], flushing is the session loop's job.
-pub fn write_response_v2<W: Write>(w: &mut W, resp: &Response) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    encode_response_v2(&mut buf, resp);
-    w.write_all(&buf)
-}
-
 /// Read one v2 binary response frame (client side).
 pub fn read_response_v2<R: BufRead>(r: &mut R) -> Result<Response> {
     read_response_v2_depth(r, 0)
@@ -585,14 +577,13 @@ fn read_response_v2_depth<R: BufRead>(r: &mut R, depth: u32) -> Result<Response>
     }
 }
 
-/// Convert a [`QueryResult`] into the wire response. `read_only` is the
-/// proxy's routing classification of the statement: reads become `ROWS`
-/// even when the result set is legitimately empty (zero rows, or zero
-/// columns), everything else becomes `OK`. Deciding by result shape
-/// alone — the old behavior — conflated an empty SELECT result with a
-/// DML acknowledgment.
-pub fn response_of(result: QueryResult, read_only: bool) -> Response {
-    if read_only || !result.columns.is_empty() {
+/// Convert a [`QueryResult`] into the wire response: a result with
+/// columns becomes `ROWS` even when it has zero rows, one without
+/// becomes `OK`. Every read (`SELECT`, `EXPLAIN`) names at least one
+/// output column, so an empty read result is never mistaken for a DML
+/// acknowledgment.
+pub fn response_of(result: QueryResult) -> Response {
+    if !result.columns.is_empty() {
         Response::Rows {
             columns: result.columns,
             rows: result.rows,
@@ -658,14 +649,6 @@ mod tests {
         assert_eq!(
             parse_request("SET PARALLELISM 4"),
             Request::Set(SessionSetting::Parallelism(4))
-        );
-        assert_eq!(
-            parse_request("set late_materialization off"),
-            Request::Set(SessionSetting::LateMaterialization(false))
-        );
-        assert_eq!(
-            parse_request("SET LATE_MATERIALIZATION ON"),
-            Request::Set(SessionSetting::LateMaterialization(true))
         );
         assert_eq!(
             parse_request("SELECT 1"),
@@ -734,14 +717,14 @@ mod tests {
 
     fn roundtrip_v1(resp: &Response) -> Response {
         let mut buf = Vec::new();
-        write_response(&mut buf, resp).unwrap();
+        encode_response_v1(&mut buf, resp);
         let mut r = BufReader::new(&buf[..]);
         read_response(&mut r).unwrap()
     }
 
     fn roundtrip_v2(resp: &Response) -> Response {
         let mut buf = Vec::new();
-        write_response_v2(&mut buf, resp).unwrap();
+        encode_response_v2(&mut buf, resp);
         let mut r = BufReader::new(&buf[..]);
         read_response_v2(&mut r).unwrap()
     }
@@ -786,8 +769,8 @@ mod tests {
     fn v2_is_smaller_than_v1_for_rows() {
         let resp = sample_rows();
         let (mut t, mut b) = (Vec::new(), Vec::new());
-        write_response(&mut t, &resp).unwrap();
-        write_response_v2(&mut b, &resp).unwrap();
+        encode_response_v1(&mut t, &resp);
+        encode_response_v2(&mut b, &resp);
         assert!(
             b.len() < t.len(),
             "binary ({}) should undercut text ({})",
@@ -818,22 +801,25 @@ mod tests {
 
     #[test]
     fn empty_select_is_not_conflated_with_ok() {
-        // A read that returns no rows — and even no columns — must stay
-        // a ROWS response; only non-reads collapse to OK.
-        let empty = QueryResult {
-            columns: Vec::new(),
+        // A read that returns no rows must stay a ROWS response; only a
+        // result without columns (DML, DDL) collapses to OK.
+        let empty_read = QueryResult {
+            columns: vec!["id".into()],
             rows: Vec::new(),
             engine: EngineChoice::Row,
             affected: 0,
         };
         assert!(matches!(
-            response_of(empty.clone(), true),
-            Response::Rows { .. }
+            response_of(empty_read),
+            Response::Rows { ref rows, .. } if rows.is_empty()
         ));
-        assert!(matches!(
-            response_of(empty, false),
-            Response::Ok { affected: 0 }
-        ));
+        let dml = QueryResult {
+            columns: Vec::new(),
+            rows: Vec::new(),
+            engine: EngineChoice::Row,
+            affected: 0,
+        };
+        assert!(matches!(response_of(dml), Response::Ok { affected: 0 }));
         // And both encodings preserve the zero-column ROWS shape.
         let zero_cols = Response::Rows {
             columns: Vec::new(),

@@ -13,16 +13,17 @@
 //! against the cluster, and the admission layer sheds overload with
 //! retryable `busy` errors (see [`crate::protocol`] for the wire shape
 //! and `imci_net` for the threading model). Thousands of mostly idle
-//! sessions cost file descriptors, not threads.
+//! sessions cost file descriptors, not threads. Pipelined requests and
+//! `BATCH` bodies are answered by one function, `ImciProto::answer`.
 
 use crate::protocol::{
-    encode_response_v2, parse_request, response_of, unescape_request, write_response, Request,
+    encode_response_v1, encode_response_v2, parse_request, response_of, unescape_request, Request,
     Response, SessionSetting, MAX_BATCH, MAX_VERSION,
 };
 use imci_cluster::{Cluster, ExecOpts};
 use imci_common::{Error, Result, Value};
 use imci_net::{Goodbye, InputBuf, NetServer, Proto, RunOutcome, ServiceStats, Step};
-use imci_sql::{EngineChoice, QueryResult};
+use imci_sql::EngineChoice;
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -150,8 +151,12 @@ impl StmtJournal {
         self.by_id.get(&id)
     }
 
-    fn put(&mut self, id: u64, resp: Response) {
-        if self.by_id.insert(id, resp).is_none() {
+    /// Remember `resp` for `id` unless it is a retryable error.
+    fn record(&mut self, id: u64, resp: &Response) {
+        if matches!(resp, Response::Err { kind, .. } if kind == "failover" || kind == "busy") {
+            return;
+        }
+        if self.by_id.insert(id, resp.clone()).is_none() {
             self.order.push_back(id);
             if self.order.len() > STMT_JOURNAL_CAP {
                 if let Some(evicted) = self.order.pop_front() {
@@ -162,26 +167,23 @@ impl StmtJournal {
     }
 }
 
-/// One ordered unit of work decoded off a connection.
+/// One ordered unit of work decoded off a connection: a request, or
+/// what the connection needs besides requests.
 enum Unit {
-    Hello(u32),
-    Set(SessionSetting),
-    /// `STATUS`: answered by the proxy itself from cluster metadata,
-    /// zero admission cost — it must work precisely when the cluster
-    /// is saturated or failing over.
-    Status,
-    /// `STMT <id> <sql>`: a statement tagged for exactly-once replay.
-    Stmt(u64, String),
-    Query(String),
+    /// A `SET`, `STATUS`, `STMT` or plain SQL request, answered by
+    /// [`ImciProto::answer`].
+    Request(Request),
+    /// A `BATCH` body: its requests answered by [`ImciProto::answer`],
+    /// the responses wrapped in one [`Response::Batch`].
     Batch(Vec<Request>),
+    /// `HELLO <v>`: switches the response encoding, so it is never part
+    /// of a batch.
+    Hello(u32),
     /// Admission shed this statement: answer with a retryable `busy`
     /// error in its response slot.
     Busy,
     /// Report an error, then close (protocol violations, goodbyes).
-    Fatal {
-        kind: &'static str,
-        msg: String,
-    },
+    Fatal { kind: &'static str, msg: String },
     /// Close silently (`quit` / `exit`).
     Quit,
 }
@@ -255,40 +257,35 @@ impl Proto for ImciProto {
                     }
                     p.batch = Some((count, Vec::with_capacity(count.min(1024))));
                 }
-                Request::Set(setting) => return Step::Unit(Unit::Set(setting)),
-                Request::Status => return Step::Unit(Unit::Status),
-                Request::Stmt(id, sql) => return Step::Unit(Unit::Stmt(id, sql)),
-                Request::Query(sql) => return Step::Unit(Unit::Query(sql)),
+                req => return Step::Unit(Unit::Request(req)),
             }
         }
     }
 
     fn cost(&self, unit: &Unit) -> usize {
+        // Statements cost one slot each. STATUS, SET and the other
+        // control units bypass admission: cost 0 means they are
+        // answered even when the statement queue is saturated.
+        let statement = |r: &Request| matches!(r, Request::Query(_) | Request::Stmt(..));
         match unit {
-            Unit::Query(_) | Unit::Stmt(..) => 1,
+            Unit::Request(r) => usize::from(statement(r)),
             // A batch's admission cost is its statement count; pure
             // control batches still occupy one slot.
-            Unit::Batch(reqs) => reqs
-                .iter()
-                .filter(|r| matches!(r, Request::Query(_) | Request::Stmt(..)))
-                .count()
-                .max(1),
-            // STATUS (and the other control units) bypass admission:
-            // cost 0 means they are answered even when the statement
-            // queue is saturated.
+            Unit::Batch(reqs) => reqs.iter().filter(|r| statement(r)).count().max(1),
             _ => 0,
         }
     }
 
     fn tenant_of<'u>(&self, unit: &'u Unit) -> Option<&'u str> {
-        match unit {
-            Unit::Set(SessionSetting::Tenant(t)) => Some(t),
-            Unit::Batch(reqs) => reqs.iter().rev().find_map(|r| match r {
-                Request::Set(SessionSetting::Tenant(t)) => Some(t.as_str()),
-                _ => None,
-            }),
+        let reqs = match unit {
+            Unit::Request(r) => std::slice::from_ref(r),
+            Unit::Batch(reqs) => reqs,
+            _ => return None,
+        };
+        reqs.iter().rev().find_map(|r| match r {
+            Request::Set(SessionSetting::Tenant(t)) => Some(t.as_str()),
             _ => None,
-        }
+        })
     }
 
     fn reject(&self, _unit: Unit) -> Unit {
@@ -327,90 +324,154 @@ impl Proto for ImciProto {
 
     fn run(&self, exec: &mut ExecState, units: Vec<Unit>, out: &mut Vec<u8>) -> RunOutcome {
         let mut outcome = RunOutcome::default();
-        let mut iter = units.into_iter().peekable();
-        while let Some(unit) = iter.next() {
-            match unit {
+        let mut units = units.into_iter().peekable();
+        while let Some(unit) = units.next() {
+            let resp = match unit {
+                Unit::Request(first) => {
+                    // The pipelined run of requests behind this one is
+                    // answered together, so its plain queries group.
+                    let rest = std::iter::from_fn(|| {
+                        match units.next_if(|u| matches!(u, Unit::Request(_))) {
+                            Some(Unit::Request(r)) => Some(r),
+                            _ => None,
+                        }
+                    });
+                    let version = exec.version;
+                    self.answer(exec, std::iter::once(first).chain(rest), |resp| {
+                        emit(out, &resp, version)
+                    });
+                    continue;
+                }
+                Unit::Batch(reqs) => {
+                    let mut parts = Vec::with_capacity(reqs.len());
+                    self.answer(exec, reqs, |resp| parts.push(resp));
+                    Response::Batch(parts)
+                }
                 Unit::Hello(v) => {
                     // Negotiate down to what both sides speak. The
                     // reply is always a text line — the encoding switch
                     // applies from the *next* response on.
                     exec.version = v.clamp(1, MAX_VERSION);
                     out.extend_from_slice(format!("HELLO {}\n", exec.version).as_bytes());
+                    continue;
                 }
-                Unit::Set(setting) => {
-                    apply_setting(&mut exec.session, setting);
-                    emit(out, &Response::Ok { affected: 0 }, exec.version);
-                }
-                Unit::Status => {
-                    let resp = status_response(&self.cluster, &self.stats);
-                    emit(out, &resp, exec.version);
-                }
-                Unit::Stmt(id, sql) => {
-                    let resp = execute_stmt(
-                        &self.cluster,
-                        exec.session,
-                        &mut exec.journal,
-                        id,
-                        &sql,
-                        &self.stats,
-                    );
-                    emit(out, &resp, exec.version);
-                }
-                Unit::Query(sql) => {
-                    // Greedily group the pipelined run of plain queries
-                    // behind this one: `execute_many` resolves proxy
-                    // routing once per run instead of once per query.
-                    let mut sqls = vec![sql];
-                    while let Some(Unit::Query(_)) = iter.peek() {
-                        if let Some(Unit::Query(s)) = iter.next() {
-                            sqls.push(s);
-                        }
-                    }
-                    let refs: Vec<&str> = sqls.iter().map(|s| s.as_str()).collect();
-                    self.stats
-                        .queries
-                        .fetch_add(refs.len() as u64, Ordering::Relaxed);
-                    let results = self.cluster.execute_many(&refs, exec.session);
-                    for (k, result) in results.into_iter().enumerate() {
-                        let resp = finish_result(
-                            &self.cluster,
-                            exec.session,
-                            refs[k],
-                            result,
-                            &self.stats,
-                        );
-                        emit(out, &resp, exec.version);
-                    }
-                }
-                Unit::Batch(reqs) => {
-                    let resp = execute_batch(&self.cluster, exec, reqs, &self.stats);
-                    emit(out, &resp, exec.version);
-                }
-                Unit::Busy => {
-                    emit(
-                        out,
-                        &Response::Err {
-                            kind: "busy".to_string(),
-                            msg: "statement queue full; retry after backoff".to_string(),
-                        },
-                        exec.version,
-                    );
-                }
+                Unit::Busy => Response::Err {
+                    kind: "busy".to_string(),
+                    msg: "statement queue full; retry after backoff".to_string(),
+                },
                 Unit::Fatal { kind, msg } => {
-                    emit(
-                        out,
-                        &Response::Err {
-                            kind: kind.to_string(),
-                            msg,
-                        },
-                        exec.version,
-                    );
                     outcome.close = true;
+                    Response::Err {
+                        kind: kind.to_string(),
+                        msg,
+                    }
                 }
-                Unit::Quit => outcome.close = true,
-            }
+                Unit::Quit => {
+                    outcome.close = true;
+                    continue;
+                }
+            };
+            emit(out, &resp, exec.version);
         }
         outcome
+    }
+}
+
+impl ImciProto {
+    /// Answer a run of requests in order, handing one response per
+    /// request to `sink` — the one way a request becomes a response,
+    /// for pipelined units and batch bodies alike. `SET`s change the
+    /// session for the requests after them; each run of consecutive
+    /// plain queries goes through one [`Cluster::execute_many`], which
+    /// resolves proxy routing once per run; `STMT`s are answered from
+    /// or recorded in the session's journal.
+    fn answer(
+        &self,
+        exec: &mut ExecState,
+        reqs: impl IntoIterator<Item = Request>,
+        mut sink: impl FnMut(Response),
+    ) {
+        let mut reqs = reqs.into_iter().peekable();
+        while let Some(req) = reqs.next() {
+            let resp = match req {
+                Request::Query(sql) => {
+                    let mut sqls = vec![sql];
+                    while let Some(Request::Query(sql)) =
+                        reqs.next_if(|r| matches!(r, Request::Query(_)))
+                    {
+                        sqls.push(sql);
+                    }
+                    self.stats
+                        .queries
+                        .fetch_add(sqls.len() as u64, Ordering::Relaxed);
+                    let results = self.cluster.execute_many(&sqls, exec.session);
+                    for (sql, result) in sqls.iter().zip(results) {
+                        sink(self.settle(exec.session, sql, result, false));
+                    }
+                    continue;
+                }
+                Request::Stmt(id, sql) => match exec.journal.get(id) {
+                    Some(resp) => resp.clone(),
+                    None => {
+                        self.stats.queries.fetch_add(1, Ordering::Relaxed);
+                        let result = self.cluster.execute_opts(&sql, exec.session);
+                        let resp = self.settle(exec.session, &sql, result, true);
+                        exec.journal.record(id, &resp);
+                        resp
+                    }
+                },
+                Request::Set(setting) => {
+                    apply_setting(&mut exec.session, setting);
+                    Response::Ok { affected: 0 }
+                }
+                // Zero admission cost: STATUS must work precisely when
+                // the cluster is saturated or failing over.
+                Request::Status => status_response(&self.cluster, &self.stats),
+                Request::Hello(_) | Request::Batch(_) => Response::Err {
+                    kind: "execution".into(),
+                    msg: "HELLO/BATCH cannot appear inside a batch".into(),
+                },
+            };
+            sink(resp);
+        }
+    }
+
+    /// Turn one statement's result into its response. A failover error
+    /// is replayed: wait (bounded by [`REPLAY_DEADLINE`]) for a writer
+    /// to be installed, then execute again. That is safe for reads (no
+    /// effect to duplicate) and for `STMT`-tagged writes (`tagged`) — in
+    /// this system a statement that failed with the failover category
+    /// provably did **not** commit: the epoch fence rejects the append
+    /// before the commit fsync, and the failed append burns no LSN. An
+    /// untagged write is never replayed: a client that timed out and
+    /// resent on its own could otherwise double-apply.
+    fn settle(
+        &self,
+        session: ExecOpts,
+        sql: &str,
+        mut result: Result<imci_sql::QueryResult>,
+        tagged: bool,
+    ) -> Response {
+        if matches!(result, Err(Error::Failover(_))) && (tagged || imci_sql::is_read_only(sql)) {
+            let deadline = Instant::now() + REPLAY_DEADLINE;
+            // The writer we waited for may itself die; keep retrying
+            // until the deadline.
+            while matches!(result, Err(Error::Failover(_))) {
+                let now = Instant::now();
+                if now >= deadline || !self.cluster.wait_for_writer(deadline - now) {
+                    break;
+                }
+                self.stats.replayed_stmts.fetch_add(1, Ordering::Relaxed);
+                result = self.cluster.execute_opts(sql, session);
+            }
+        }
+        match result {
+            Ok(r) => response_of(r),
+            Err(e) => {
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                Response::from_error(&e)
+            }
+        }
     }
 }
 
@@ -420,7 +481,7 @@ fn emit(out: &mut Vec<u8>, resp: &Response, version: u32) {
     if version >= 2 {
         encode_response_v2(out, resp);
     } else {
-        write_response(out, resp).expect("writing to a Vec cannot fail");
+        encode_response_v1(out, resp);
     }
 }
 
@@ -433,166 +494,7 @@ fn apply_setting(session: &mut ExecOpts, setting: SessionSetting) {
         SessionSetting::ForceEngine(f) => session.query.engine = f,
         SessionSetting::Tenant(_) => {}
         SessionSetting::Parallelism(n) => session.query.parallelism = Some(n),
-        SessionSetting::LateMaterialization(b) => session.query.late_materialization = Some(b),
     }
-}
-
-/// Execute a batch: `SET`s apply in order, and **consecutive** SQL
-/// statements go through [`Cluster::execute_many`], which resolves
-/// proxy routing once per run instead of once per statement. One
-/// sub-response per request, in order.
-fn execute_batch(
-    cluster: &Arc<Cluster>,
-    exec: &mut ExecState,
-    reqs: Vec<Request>,
-    stats: &ServerStats,
-) -> Response {
-    let mut parts = Vec::with_capacity(reqs.len());
-    let mut i = 0;
-    while i < reqs.len() {
-        match &reqs[i] {
-            Request::Set(setting) => {
-                apply_setting(&mut exec.session, setting.clone());
-                parts.push(Response::Ok { affected: 0 });
-                i += 1;
-            }
-            Request::Hello(_) | Request::Batch(_) => {
-                parts.push(Response::Err {
-                    kind: "execution".into(),
-                    msg: "HELLO/BATCH cannot appear inside a batch".into(),
-                });
-                i += 1;
-            }
-            Request::Status => {
-                parts.push(status_response(cluster, stats));
-                i += 1;
-            }
-            Request::Stmt(id, sql) => {
-                parts.push(execute_stmt(
-                    cluster,
-                    exec.session,
-                    &mut exec.journal,
-                    *id,
-                    sql,
-                    stats,
-                ));
-                i += 1;
-            }
-            Request::Query(_) => {
-                let mut sqls: Vec<&str> = Vec::new();
-                while let Some(Request::Query(sql)) = reqs.get(i) {
-                    sqls.push(sql);
-                    i += 1;
-                }
-                stats
-                    .queries
-                    .fetch_add(sqls.len() as u64, Ordering::Relaxed);
-                let results = cluster.execute_many(&sqls, exec.session);
-                for (k, result) in results.into_iter().enumerate() {
-                    parts.push(finish_result(cluster, exec.session, sqls[k], result, stats));
-                }
-                debug_assert_eq!(parts.len(), i, "one response per request");
-            }
-        }
-    }
-    Response::Batch(parts)
-}
-
-/// Turn one execution result into its response, transparently
-/// replaying **read-only** statements that hit a failover error: a
-/// read never took effect, so re-executing it against the promoted
-/// writer (or a surviving RO) is invisible to the client. Writes are
-/// only replayed when the client tagged them (`STMT`, see
-/// [`execute_stmt`]) — an untagged client that timed out and resent on
-/// its own could otherwise double-apply.
-fn finish_result(
-    cluster: &Cluster,
-    session: ExecOpts,
-    sql: &str,
-    result: Result<QueryResult>,
-    stats: &ServerStats,
-) -> Response {
-    let read_only = imci_sql::is_read_only(sql);
-    let result = match result {
-        Err(e @ Error::Failover(_)) if read_only => replay_execute(cluster, sql, session, stats, e),
-        other => other,
-    };
-    match result {
-        Ok(r) => response_of(r, read_only),
-        Err(e) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            Response::from_error(&e)
-        }
-    }
-}
-
-/// Re-execute `sql` after a failover error: wait (bounded by
-/// [`REPLAY_DEADLINE`]) for a writer to be installed, then retry.
-/// Safe for reads (no effect to duplicate) and for `STMT`-tagged
-/// writes — in this system a statement that failed with the failover
-/// category provably did **not** commit: the epoch fence rejects the
-/// append before the commit fsync, and the failed append burns no LSN.
-fn replay_execute(
-    cluster: &Cluster,
-    sql: &str,
-    session: ExecOpts,
-    stats: &ServerStats,
-    first_err: Error,
-) -> Result<QueryResult> {
-    let deadline = Instant::now() + REPLAY_DEADLINE;
-    let mut last = first_err;
-    loop {
-        let now = Instant::now();
-        if now >= deadline || !cluster.wait_for_writer(deadline - now) {
-            return Err(last);
-        }
-        stats.replayed_stmts.fetch_add(1, Ordering::Relaxed);
-        match cluster.execute_opts(sql, session) {
-            // The writer we waited for may itself have died; keep
-            // retrying until the deadline.
-            Err(e @ Error::Failover(_)) => last = e,
-            other => return other,
-        }
-    }
-}
-
-/// Execute one `STMT <id> <sql>` with exactly-once semantics: a
-/// journaled id replays the decided response without re-executing;
-/// a fresh id executes with transparent failover replay (tagged
-/// statements are replayable whether or not they are reads), and the
-/// decided outcome is journaled for future resends.
-fn execute_stmt(
-    cluster: &Cluster,
-    session: ExecOpts,
-    journal: &mut StmtJournal,
-    id: u64,
-    sql: &str,
-    stats: &ServerStats,
-) -> Response {
-    if let Some(resp) = journal.get(id) {
-        return resp.clone();
-    }
-    stats.queries.fetch_add(1, Ordering::Relaxed);
-    let result = match cluster.execute_opts(sql, session) {
-        Err(e @ Error::Failover(_)) => replay_execute(cluster, sql, session, stats, e),
-        other => other,
-    };
-    let resp = match result {
-        Ok(r) => response_of(r, imci_sql::is_read_only(sql)),
-        Err(e) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            Response::from_error(&e)
-        }
-    };
-    // Journal only decided outcomes: retryable errors mean the
-    // statement never took effect, so a resend should re-attempt it,
-    // not replay the transient error.
-    let decided =
-        !matches!(&resp, Response::Err { kind, .. } if kind == "failover" || kind == "busy");
-    if decided {
-        journal.put(id, resp.clone());
-    }
-    resp
 }
 
 /// Build the `STATUS` report: a one-row result set with the node role,

@@ -6,8 +6,9 @@
 //! side of a DDL arrives only through the log's DDL record. SELECTs are
 //! bound once and routed by the row-plan cost estimate — below the
 //! threshold they run on the row-at-a-time executor, above it they are
-//! transformed into a column plan and run on the batch engine, with
-//! run-time fallback to the row engine on column-engine errors (§6.2).
+//! transformed into a column plan and run on the batch engine. A column
+//! plan the node cannot serve falls back to the row engine (§6.2) in
+//! the same plan step that `EXPLAIN` renders.
 
 pub mod ast;
 pub mod parser;
@@ -43,17 +44,14 @@ pub const COST_THRESHOLD: f64 = 10_000.0;
 /// Per-call options for [`QueryEngine::run`] — the one knob surface
 /// for engine routing and executor tuning. Every field defaults to
 /// `None`, meaning the executor's own default (cost-based routing,
-/// all worker-pool threads but one, pruning and late materialization
-/// on); a `Some` travels with the call and is safe under concurrent
-/// sessions.
+/// all worker-pool threads but one, pruning on); a `Some` travels with
+/// the call and is safe under concurrent sessions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Pin SELECTs to one engine (None = cost-based routing).
     pub engine: Option<EngineChoice>,
     /// Morsel-parallelism cap for the column executor (clamped to ≥ 1).
     pub parallelism: Option<usize>,
-    /// Late-materialized scans (ablation switch).
-    pub late_materialization: Option<bool>,
     /// Pack min/max pruning (ablation switch).
     pub prune: Option<bool>,
 }
@@ -100,6 +98,13 @@ pub struct QueryEngine {
     pub store: Option<Arc<ColumnStore>>,
 }
 
+/// The engine [`QueryEngine::plan`] chose for a bound SELECT, with the
+/// column plan and its execution context when that engine is Column.
+enum Route {
+    Row,
+    Column(PhysicalPlan, ExecContext),
+}
+
 impl QueryEngine {
     /// Engine over a row store and, when given, a column store.
     pub fn new(row: Arc<RowEngine>, store: Option<Arc<ColumnStore>>) -> QueryEngine {
@@ -129,8 +134,29 @@ impl QueryEngine {
     /// Execute a parsed statement with options.
     fn run_stmt(&self, stmt: &Statement, opts: &QueryOptions) -> Result<QueryResult> {
         match stmt {
-            Statement::Select(s) => self.run_select(s, opts).map(|(r, _)| r),
-            Statement::Explain { analyze, select } => self.run_explain(select, *analyze, opts),
+            Statement::Select(s) => {
+                let (q, route) = self.plan(s, opts)?;
+                let (rows, engine) = match route {
+                    Route::Column(plan, ctx) => {
+                        let out = imci_executor::execute(&plan, &ctx)?;
+                        (
+                            (0..out.len).map(|r| out.row(r)).collect(),
+                            EngineChoice::Column,
+                        )
+                    }
+                    Route::Row => (execute_row(&q, &self.row)?, EngineChoice::Row),
+                };
+                Ok(QueryResult {
+                    columns: q.out_names,
+                    rows,
+                    engine,
+                    affected: 0,
+                })
+            }
+            Statement::Explain { analyze, select } => {
+                let (q, route) = self.plan(select, opts)?;
+                self.explain(&q, route, *analyze)
+            }
             Statement::CreateTable(ct) => {
                 let mut columns = Vec::with_capacity(ct.columns.len());
                 for (name, ty, not_null) in &ct.columns {
@@ -260,50 +286,29 @@ impl QueryEngine {
         }
     }
 
-    /// Bind, route, and execute a SELECT; returns the engine used.
-    fn run_select(
-        &self,
-        s: &SelectStmt,
-        opts: &QueryOptions,
-    ) -> Result<(QueryResult, EngineChoice)> {
+    /// The one plan step behind execution and `EXPLAIN`: bind, route
+    /// (§6.1), and for the column engine build the plan and its
+    /// execution context. A column plan the node cannot serve (no
+    /// column store, or a table without a column index) falls back to
+    /// the row engine here (§6.2), so what `EXPLAIN` reports is what
+    /// `run` executes.
+    fn plan(&self, s: &SelectStmt, opts: &QueryOptions) -> Result<(BoundQuery, Route)> {
         let q = self.bind(s)?;
-        let choice = self.route(&q, opts);
-        if choice == EngineChoice::Column {
-            match self.run_column(&q, opts) {
-                Ok(rows) => {
-                    return Ok((
-                        QueryResult {
-                            columns: q.out_names.clone(),
-                            rows,
-                            engine: EngineChoice::Column,
-                            affected: 0,
-                        },
-                        EngineChoice::Column,
-                    ))
-                }
-                Err(Error::ColumnEngineUnsupported(_)) => {
-                    // Run-time fallback to the row engine (§6.2).
-                }
+        let route = match self.route(&q, opts) {
+            EngineChoice::Row => Route::Row,
+            EngineChoice::Column => match self.column_plan_ctx(&q, opts) {
+                Ok((plan, ctx)) => Route::Column(plan, ctx),
+                Err(Error::ColumnEngineUnsupported(_)) => Route::Row,
                 Err(e) => return Err(e),
-            }
-        }
-        let rows = execute_row(&q, &self.row)?;
-        Ok((
-            QueryResult {
-                columns: q.out_names.clone(),
-                rows,
-                engine: EngineChoice::Row,
-                affected: 0,
             },
-            EngineChoice::Row,
-        ))
+        };
+        Ok((q, route))
     }
 
     /// Bind a SELECT against the node's catalog.
     fn bind(&self, s: &SelectStmt) -> Result<BoundQuery> {
-        let row_engine = self.row.clone();
         let lookup = |name: &str| -> Result<Arc<Schema>> {
-            Ok(Arc::new(row_engine.table(name)?.schema.clone()))
+            Ok(Arc::new(self.row.table(name)?.schema.clone()))
         };
         bind_select(s, &lookup, self)
     }
@@ -318,61 +323,45 @@ impl QueryEngine {
         }
     }
 
-    /// `EXPLAIN [ANALYZE] <select>`: report the route the optimizer
-    /// picks and — for the column engine — the physical operator tree,
+    /// `EXPLAIN [ANALYZE] <select>`: report the route [`Self::plan`]
+    /// chose and — for the column engine — the physical operator tree,
     /// one text row per line. ANALYZE also executes the query and
     /// annotates every operator with the rows it produced and the
     /// morsels dispatched for it, plus a wall-clock total.
-    fn run_explain(
-        &self,
-        s: &SelectStmt,
-        analyze: bool,
-        opts: &QueryOptions,
-    ) -> Result<QueryResult> {
-        let q = self.bind(s)?;
-        let choice = self.route(&q, opts);
-        let mut column_lines: Option<Vec<String>> = None;
-        if choice == EngineChoice::Column {
-            match self.column_plan_ctx(&q, opts) {
-                Ok((plan, ctx)) => {
-                    let mut lines = vec![format!(
-                        "engine=column cost={:.0} parallelism={}",
-                        q.row_cost, ctx.parallelism
-                    )];
-                    if analyze {
-                        let (_, stats) = imci_executor::execute_with_stats(&plan, &ctx)?;
-                        for (i, l) in plan.explain().into_iter().enumerate() {
-                            lines.push(format!(
-                                "{l} rows={} morsels={}",
-                                stats.rows.get(i).copied().unwrap_or(0),
-                                stats.morsels.get(i).copied().unwrap_or(0)
-                            ));
-                        }
+    fn explain(&self, q: &BoundQuery, route: Route, analyze: bool) -> Result<QueryResult> {
+        let (engine, lines) = match route {
+            Route::Column(plan, ctx) => {
+                let mut lines = vec![format!(
+                    "engine=column cost={:.0} parallelism={}",
+                    q.row_cost, ctx.parallelism
+                )];
+                if analyze {
+                    let (_, stats) = imci_executor::execute_with_stats(&plan, &ctx)?;
+                    for (i, l) in plan.explain().into_iter().enumerate() {
                         lines.push(format!(
-                            "total: morsels={} wall_ms={:.3}",
-                            stats.total_morsels(),
-                            stats.wall.as_secs_f64() * 1e3
+                            "{l} rows={} morsels={}",
+                            stats.rows.get(i).copied().unwrap_or(0),
+                            stats.morsels.get(i).copied().unwrap_or(0)
                         ));
-                    } else {
-                        lines.extend(plan.explain());
                     }
-                    column_lines = Some(lines);
+                    lines.push(format!(
+                        "total: morsels={} wall_ms={:.3}",
+                        stats.total_morsels(),
+                        stats.wall.as_secs_f64() * 1e3
+                    ));
+                } else {
+                    lines.extend(plan.explain());
                 }
-                // Same run-time fallback the real execution takes.
-                Err(Error::ColumnEngineUnsupported(_)) => {}
-                Err(e) => return Err(e),
+                (EngineChoice::Column, lines)
             }
-        }
-        let (engine, lines) = match column_lines {
-            Some(lines) => (EngineChoice::Column, lines),
-            None => {
+            Route::Row => {
                 let mut lines = vec![
                     format!("engine=row cost={:.0}", q.row_cost),
                     "RowPipeline (row-at-a-time executor)".to_string(),
                 ];
                 if analyze {
                     let t0 = std::time::Instant::now();
-                    let rows = execute_row(&q, &self.row)?;
+                    let rows = execute_row(q, &self.row)?;
                     lines.push(format!(
                         "total: rows={} wall_ms={:.3}",
                         rows.len(),
@@ -436,20 +425,13 @@ impl QueryEngine {
     /// table), then tuning — per-call options override the executor's
     /// defaults, and the planner's [`PhysicalPlan::parallel_safe`] check
     /// clamps parallelism to 1 for any plan shape without a
-    /// parallel-safe merge. Shared by execution and `EXPLAIN`.
+    /// parallel-safe merge.
     fn column_plan_ctx(
         &self,
         q: &BoundQuery,
         opts: &QueryOptions,
     ) -> Result<(PhysicalPlan, ExecContext)> {
-        let store = self
-            .store
-            .as_ref()
-            .ok_or_else(|| Error::ColumnEngineUnsupported("node has no column store".into()))?;
-        let covered_of = |schema: &Schema| -> Option<Vec<usize>> {
-            store.index(schema.table_id).ok().map(|i| i.covered.clone())
-        };
-        let plan = to_column_plan(q, &covered_of)?;
+        let (plan, store) = self.column_transform(q)?;
         let mut snaps = FxHashMap::default();
         for bt in &q.tables {
             let idx = store.index(bt.schema.table_id).map_err(|_| {
@@ -464,34 +446,26 @@ impl QueryEngine {
             None => ctx.parallelism,
         };
         ctx.prune_enabled = opts.prune.unwrap_or(ctx.prune_enabled);
-        ctx.late_materialization = opts
-            .late_materialization
-            .unwrap_or(ctx.late_materialization);
         Ok((plan, ctx))
     }
 
-    /// Execute the bound query on the column engine.
-    fn run_column(&self, q: &BoundQuery, opts: &QueryOptions) -> Result<Vec<Vec<Value>>> {
-        let (plan, ctx) = self.column_plan_ctx(q, opts)?;
-        let out = imci_executor::execute(&plan, &ctx)?;
-        Ok((0..out.len).map(|r| out.row(r)).collect())
-    }
-
-    /// Build the column physical plan without running it (benches).
-    pub fn column_plan(&self, s: &SelectStmt) -> Result<PhysicalPlan> {
-        let row_engine = self.row.clone();
-        let lookup = |name: &str| -> Result<Arc<Schema>> {
-            Ok(Arc::new(row_engine.table(name)?.schema.clone()))
-        };
-        let q = bind_select(s, &lookup, self)?;
+    /// Transform a bound query into a column plan over this node's
+    /// column store, without pinning snapshots.
+    fn column_transform(&self, q: &BoundQuery) -> Result<(PhysicalPlan, &ColumnStore)> {
         let store = self
             .store
-            .as_ref()
+            .as_deref()
             .ok_or_else(|| Error::ColumnEngineUnsupported("node has no column store".into()))?;
         let covered_of = |schema: &Schema| -> Option<Vec<usize>> {
             store.index(schema.table_id).ok().map(|i| i.covered.clone())
         };
-        to_column_plan(&q, &covered_of)
+        Ok((to_column_plan(q, &covered_of)?, store))
+    }
+
+    /// Build the column physical plan without running it (benches).
+    pub fn column_plan(&self, s: &SelectStmt) -> Result<PhysicalPlan> {
+        let (plan, _) = self.column_transform(&self.bind(s)?)?;
+        Ok(plan)
     }
 
     /// §3.3 online `ALTER TABLE ... ADD COLUMN INDEX`: register the new
@@ -756,10 +730,21 @@ mod tests {
 
     /// The route and `cost=` of a statement's EXPLAIN head line.
     fn explain_cost(qe: &QueryEngine, sql: &str) -> (EngineChoice, f64) {
-        let explain = run(qe, &format!("EXPLAIN {sql}")).unwrap();
+        explain_cost_opts(qe, sql, &QueryOptions::default())
+    }
+
+    /// [`explain_cost`] under `opts`; the head line's `engine=` must
+    /// agree with the result's engine.
+    fn explain_cost_opts(qe: &QueryEngine, sql: &str, opts: &QueryOptions) -> (EngineChoice, f64) {
+        let explain = qe.run(&format!("EXPLAIN {sql}"), opts).unwrap();
         let Value::Str(head) = &explain.rows[0][0] else {
             panic!("{:?}", explain.rows[0]);
         };
+        let named = match explain.engine {
+            EngineChoice::Row => "engine=row ",
+            EngineChoice::Column => "engine=column ",
+        };
+        assert!(head.starts_with(named), "{head}");
         let cost = head.split(' ').find_map(|w| w.strip_prefix("cost="));
         (explain.engine, cost.unwrap().parse().unwrap())
     }
@@ -817,6 +802,13 @@ mod tests {
             .unwrap();
         assert_eq!(res.engine, EngineChoice::Row, "run-time fallback (§6.2)");
         assert_eq!(res.rows.len(), 2);
+        // EXPLAIN takes the same fallback.
+        let (engine, _) = explain_cost_opts(
+            &qe,
+            "SELECT v FROM bare ORDER BY v",
+            &QueryOptions::forced(Some(EngineChoice::Column)),
+        );
+        assert_eq!(engine, EngineChoice::Row);
     }
 
     #[test]
@@ -894,18 +886,18 @@ mod tests {
         assert_eq!(reference.rows.len(), 5);
         for engine in [EngineChoice::Row, EngineChoice::Column] {
             for parallelism in [Some(1), None] {
-                for late_materialization in [Some(true), Some(false)] {
-                    for prune in [Some(true), Some(false)] {
-                        let opts = QueryOptions {
-                            engine: Some(engine),
-                            parallelism,
-                            late_materialization,
-                            prune,
-                        };
-                        let res = qe.run(sql, &opts).unwrap();
-                        assert_eq!(res.engine, engine, "{opts:?}");
-                        assert_eq!(res.rows, reference.rows, "{opts:?}");
-                    }
+                for prune in [Some(true), Some(false)] {
+                    let opts = QueryOptions {
+                        engine: Some(engine),
+                        parallelism,
+                        prune,
+                    };
+                    let res = qe.run(sql, &opts).unwrap();
+                    assert_eq!(res.engine, engine, "{opts:?}");
+                    assert_eq!(res.rows, reference.rows, "{opts:?}");
+                    // EXPLAIN reports the engine `run` used.
+                    let (explained, _) = explain_cost_opts(&qe, sql, &opts);
+                    assert_eq!(explained, res.engine, "{opts:?}");
                 }
             }
         }

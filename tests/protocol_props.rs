@@ -8,8 +8,8 @@
 
 use polardb_imci::common::Value;
 use polardb_imci::server::protocol::{
-    escape_request, read_response, read_response_v2, unescape_request, write_response,
-    write_response_v2, Response,
+    encode_response_v1, encode_response_v2, escape_request, read_response, read_response_v2,
+    unescape_request, Response,
 };
 use polardb_imci::server::wire;
 use polardb_imci::EngineChoice;
@@ -65,13 +65,13 @@ fn rows_response(ncols: usize, names: &[String], cells: &[Value], column_engine:
 
 fn roundtrip_v1(resp: &Response) -> Response {
     let mut buf = Vec::new();
-    write_response(&mut buf, resp).unwrap();
+    encode_response_v1(&mut buf, resp);
     read_response(&mut BufReader::new(&buf[..])).unwrap()
 }
 
 fn roundtrip_v2(resp: &Response) -> Response {
     let mut buf = Vec::new();
-    write_response_v2(&mut buf, resp).unwrap();
+    encode_response_v2(&mut buf, resp);
     read_response_v2(&mut BufReader::new(&buf[..])).unwrap()
 }
 
