@@ -483,12 +483,12 @@ fn ablation_e(smoke: bool, rep: &mut BenchReport) {
     rep.set("failover", "recover_ms", recover_ms);
     rep.set("failover", "recover_replayed_entries", replayed as f64);
 
-    // (2) crash again → RO→RW promotion. Each cycle consumes an RO, so
-    // replenish with a checkpoint-seeded scale-out between cycles.
+    // (2) crash again → RO→RW promotion. Each failover replaces the RO
+    // it consumed with a checkpoint-seeded scale-out of its own.
     let mut failover_ms = f64::MAX;
     let mut drain_ms = f64::MAX;
     let mut promoted = String::new();
-    for cycle in 0..cycles {
+    for _ in 0..cycles {
         cluster.crash_rw();
         let t0 = Instant::now();
         let fo = cluster.failover().unwrap();
@@ -497,9 +497,6 @@ fn ablation_e(smoke: bool, rep: &mut BenchReport) {
         promoted = fo.promoted;
         let count = cluster.rw().unwrap().row_count("ha").unwrap() as i64;
         assert_eq!(count, committed, "promotion must keep every committed txn");
-        if cycle + 1 < cycles {
-            cluster.scale_out().unwrap();
-        }
     }
     println!("failover_ms\t{failover_ms:.2}\tpromoted\t{promoted}\tdrain_ms\t{drain_ms:.2}");
     rep.set("failover", "failover_ms", failover_ms);

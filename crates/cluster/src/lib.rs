@@ -125,87 +125,42 @@ impl RoNode {
 
 /// The RW node: storage engine + query engine. Behind [`Cluster::rw`]'s
 /// lock so crash/recovery/failover can replace it atomically while
-/// sessions keep running. A bootstrap/recovered RW is row-only; a
-/// *promoted* RW carries a column attachment and serves dual-format
-/// plans (full HTAP after failover).
+/// sessions keep running. Every writer is row-only: column indexes live
+/// on RO nodes, where strong reads fence on their applied LSN.
 struct RwNode {
     engine: Arc<RowEngine>,
     query: QueryEngine,
-    /// IMCI column half of a promoted writer; `None` on row-only
-    /// writers. Kept as a field so its pipeline stops when the node is
-    /// crashed or replaced.
-    column: Option<ColumnAttachment>,
     /// Liveness stamper; dropping the node (crash) stops the beats,
     /// which is exactly how a real process death looks to the lease.
     _heartbeat: Option<Heartbeat>,
 }
 
-/// The promoted writer's column replica. Phase-1 of the replication
-/// pipeline derives column operations from *applying* REDO to a row
-/// replica — the writer's own engine would idempotency-skip its
-/// already-applied pages and emit nothing — so a shadow row replica
-/// tails the shared log and feeds the column store, continuously
-/// covering the writer's own commits. This is the promoted node
-/// "re-registering with the replication pipeline as the new source".
-struct ColumnAttachment {
-    /// Shadow row replica (pipeline plumbing only, never queried).
-    _replica: Arc<RowEngine>,
-    /// Column store backing the writer's dual query engine.
-    _store: Arc<ColumnStore>,
-    pipeline: Pipeline,
-}
-
-/// A freshly booted CALS follower ([`Cluster::boot_follower`]): the
-/// building block of both an RO node and a promoted writer's column
-/// attachment.
-struct Follower {
-    engine: Arc<RowEngine>,
-    store: Arc<ColumnStore>,
-    pipeline: Pipeline,
-    from_checkpoint: bool,
-}
-
-/// Background thread stamping [`PolarFs::heartbeat`] with the writer's
-/// epoch every `interval`. Stops when dropped (condvar, no polling
-/// sleep) or as soon as a beat is fenced — a deposed writer goes
-/// silent instead of spamming rejected beats.
-struct Heartbeat {
+/// A background thread that runs until its handle drops: the drop sets
+/// the stop flag, wakes the thread's condvar and joins it.
+struct StopHandle {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Heartbeat {
-    fn start(fs: PolarFs, epoch: u64, interval: Duration) -> Heartbeat {
+impl StopHandle {
+    fn spawn(
+        name: &str,
+        body: impl FnOnce(&(Mutex<bool>, Condvar)) + Send + 'static,
+    ) -> StopHandle {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = stop.clone();
-        // The first beat lands before the writer serves anything: the
-        // supervisor arms on a beat of the current epoch, so a writer
-        // that died before its thread first ran would go undetected.
-        let alive = fs.heartbeat(epoch).is_ok();
+        let flag = stop.clone();
         let handle = std::thread::Builder::new()
-            .name("rw-heartbeat".into())
-            .spawn(move || {
-                let (lock, cv) = &*stop2;
-                let mut stopped = lock.lock();
-                // Check the flag before each wait: a drop that lands
-                // before this thread first takes the lock has already
-                // notified, and must not cost a whole interval.
-                while alive && !*stopped {
-                    let _ = cv.wait_for(&mut stopped, interval);
-                    if *stopped || fs.heartbeat(epoch).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn heartbeat thread");
-        Heartbeat {
+            .name(name.into())
+            .spawn(move || body(&flag))
+            .expect("spawn background thread");
+        StopHandle {
             stop,
             handle: Some(handle),
         }
     }
 }
 
-impl Drop for Heartbeat {
+impl Drop for StopHandle {
     fn drop(&mut self) {
         let (lock, cv) = &*self.stop;
         *lock.lock() = true;
@@ -213,6 +168,36 @@ impl Drop for Heartbeat {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// Background thread stamping [`PolarFs::heartbeat`] with the writer's
+/// epoch every `interval`. Stops when dropped (condvar, no polling
+/// sleep) or as soon as a beat is fenced — a deposed writer goes
+/// silent instead of spamming rejected beats.
+struct Heartbeat {
+    _thread: StopHandle,
+}
+
+impl Heartbeat {
+    fn start(fs: PolarFs, epoch: u64, interval: Duration) -> Heartbeat {
+        // The first beat lands before the writer serves anything: the
+        // supervisor arms on a beat of the current epoch, so a writer
+        // that died before its thread first ran would go undetected.
+        let alive = fs.heartbeat(epoch).is_ok();
+        let thread = StopHandle::spawn("rw-heartbeat", move |(lock, cv)| {
+            let mut stopped = lock.lock();
+            // Check the flag before each wait: a drop that lands
+            // before this thread first takes the lock has already
+            // notified, and must not cost a whole interval.
+            while alive && !*stopped {
+                let _ = cv.wait_for(&mut stopped, interval);
+                if *stopped || fs.heartbeat(epoch).is_err() {
+                    return;
+                }
+            }
+        });
+        Heartbeat { _thread: thread }
     }
 }
 
@@ -229,15 +214,15 @@ pub struct FailoverReport {
     pub rolled_back_ops: usize,
     /// Time to drain the promoted node's pipeline to the log tail.
     pub drain_time: Duration,
-    /// Time to rebuild the promoted node's column replica (checkpoint
-    /// load + REDO tail catch-up). Row service resumes *before* this:
-    /// it overlaps with live write traffic.
+    /// Time to backfill the consumed RO with a [`Cluster::scale_out`]
+    /// (checkpoint load + REDO tail catch-up). Row service resumes
+    /// *before* this: it overlaps with live write traffic.
     pub column_rebuild_time: Duration,
-    /// Crash-to-promoted wall time (the paper's seconds-scale claim).
+    /// Crash-to-backfilled wall time (the paper's seconds-scale claim).
     pub total_time: Duration,
-    /// Whether the column rebuild reached the promotion point within
-    /// its 60 s wait. When false the writer still serves, but column
-    /// plans lag until the attachment's pipeline catches up.
+    /// Whether the backfilled RO joined the routing set. When false the
+    /// writer still serves, and column plans run on the remaining ROs,
+    /// or fall back to the writer's row engine when none is left.
     pub column_caught_up: bool,
 }
 
@@ -264,7 +249,7 @@ pub struct Cluster {
     writer_gate: Mutex<()>,
     writer_cv: Condvar,
     /// Supervisor thread handle (when running).
-    supervisor: Mutex<Option<Supervisor>>,
+    supervisor: Mutex<Option<StopHandle>>,
     /// Promotions triggered by the supervisor (not by a caller).
     auto_failovers: AtomicU64,
     /// Detection latency of the last auto-failover: ms from the last
@@ -276,23 +261,6 @@ pub struct Cluster {
     /// not race two concurrent [`Cluster::failover`]s (each would burn
     /// an epoch and drain a different RO).
     promotion_lock: Mutex<()>,
-}
-
-/// Handle to the running supervisor thread.
-struct Supervisor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock() = true;
-        cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 /// Supervisor state codes (stored in an atomic, reported by `STATUS`).
@@ -362,7 +330,6 @@ impl Cluster {
             rw: RwLock::new(Some(RwNode {
                 engine,
                 query,
-                column: None,
                 _heartbeat: Some(heartbeat),
             })),
             ros: RwLock::new(Vec::new()),
@@ -398,13 +365,10 @@ impl Cluster {
     }
 
     /// The writer role as reported by the proxy's `STATUS` statement:
-    /// `"rw+imci"` when the installed writer also serves column plans
-    /// (a promoted node with a rebuilt column attachment), `"rw"` for a
-    /// row-only writer, `"vacant"` between a crash and the next
-    /// recovery/promotion.
+    /// `"rw"` while a writer is installed, `"vacant"` between a crash
+    /// and the next recovery/promotion.
     pub fn writer_role(&self) -> &'static str {
         match self.rw.read().as_ref() {
-            Some(node) if node.column.is_some() => "rw+imci",
             Some(_) => "rw",
             None => "vacant",
         }
@@ -419,28 +383,19 @@ impl Cluster {
     /// a new writer, write statements fail with the retryable
     /// [`Error::Failover`] category.
     pub fn crash_rw(&self) -> Option<Arc<RowEngine>> {
-        let taken = self.rw.write().take();
+        let taken = self.rw.write().take()?;
         // Snapshot the durable-commit floor *after* acquiring the
         // writer lock: a commit in flight when the crash begins holds
         // the read lock, finishes (and acks its client) before the
         // take — so it must be inside the strong-consistency fence for
         // the whole vacancy.
-        if let Some(node) = &taken {
-            if let Some(log) = node.engine.log() {
-                self.written_floor
-                    .fetch_max(log.written_lsn().get(), Ordering::SeqCst);
-            }
+        if let Some(log) = taken.engine.log() {
+            self.written_floor
+                .fetch_max(log.written_lsn().get(), Ordering::SeqCst);
         }
-        taken.map(|n| {
-            // A promoted writer's column pipeline must not keep tailing
-            // the log after its node is gone (mirrors scale_in). The
-            // heartbeat thread stops with the node's drop — the lease
-            // goes silent exactly like a process death.
-            if let Some(col) = &n.column {
-                col.pipeline.stop();
-            }
-            n.engine
-        })
+        // The heartbeat thread stops with the node's drop — the lease
+        // goes silent exactly like a process death.
+        Some(taken.engine)
     }
 
     /// Restart the RW in place: rebuild a writer from the newest
@@ -467,7 +422,6 @@ impl Cluster {
         *self.rw.write() = Some(RwNode {
             engine,
             query,
-            column: None,
             _heartbeat: heartbeat,
         });
         self.notify_writer_change();
@@ -492,20 +446,16 @@ impl Cluster {
     ///    the log as if a live abort had happened;
     /// 5. re-point the proxy: the node serves as the RW, remaining ROs
     ///    keep tailing the same log;
-    /// 6. rebuild the node's IMCI column half from the latest
-    ///    checkpoint + REDO tail and re-register it with the
-    ///    replication pipeline, so the promoted node keeps answering
-    ///    column-engine plans — full HTAP after failover.
+    /// 6. release the promotion lock and [`Cluster::scale_out`] a fresh
+    ///    RO to replace the one consumed.
     ///
-    /// The drained RO-era column store cannot be reused: its VID
-    /// watermark belongs to the retired pipeline, and re-applying the
-    /// checkpoint-to-drain range would double-count. Instead a fresh
-    /// store is seeded from the newest checkpoint and caught up through
-    /// a shadow row replica tailing the shared log (see
-    /// [`ColumnAttachment`] for why the writer's own engine can't feed
-    /// phase 1). Row/write service resumes *before* the column rebuild;
-    /// column plans lag until the new pipeline catches up, like a
-    /// freshly scaled-out RO.
+    /// The promoted writer is row-only, like every writer: its drained
+    /// column store retires with the RO role. Row/write service resumes
+    /// *before* the backfill. Until the new RO joins, reads with no RO
+    /// left run on the writer's row engine, which is always fresh (a
+    /// column pin falls back to it). The call returns `Ok` once the
+    /// writer is installed; [`FailoverReport::column_caught_up`] says
+    /// whether the backfill joined.
     pub fn failover(&self) -> Result<FailoverReport> {
         self.promote(None)
     }
@@ -513,23 +463,22 @@ impl Cluster {
     /// [`Cluster::failover`]; `detected` is the lease age when the
     /// supervisor promotes on its own.
     fn promote(&self, detected: Option<Duration>) -> Result<FailoverReport> {
-        let _promotion = self.promotion_lock.lock();
+        let promotion = self.promotion_lock.lock();
         let t0 = Instant::now();
         // Depose (no-op if already crashed); the floor snapshot runs
         // under the writer lock for the same last-commit race
         // crash_rw() documents.
         drop(self.crash_rw());
         let epoch = self.fs.bump_epoch();
-        let node = {
-            let mut ros = self.ros.write();
-            let best = ros
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, n)| n.applied_lsn())
-                .map(|(i, _)| i)
-                .ok_or_else(|| Error::Failover("no RO node available to promote".into()))?;
-            ros.remove(best)
-        };
+        let mut ros = self.ros.write();
+        let best = ros
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, n)| n.applied_lsn())
+            .map(|(i, _)| i)
+            .ok_or_else(|| Error::Failover("no RO node available to promote".into()))?;
+        let node = ros.remove(best);
+        drop(ros);
         let t_drain = Instant::now();
         let state = node.pipeline.stop_after_drain()?;
         let drain_time = t_drain.elapsed();
@@ -541,13 +490,7 @@ impl Cluster {
             &state.inflight,
         )?;
 
-        // Column rebuild: checkpoint seed + pipeline over the shared
-        // log. Booted before the writer is installed so the attachment
-        // is ready, but catch-up happens after — writes don't wait.
-        let t_col = Instant::now();
-        let follower = self.boot_follower()?;
-        let col_metrics = follower.pipeline.metrics().clone();
-        let query = QueryEngine::new(node.engine.clone(), Some(follower.store.clone()));
+        let query = QueryEngine::new(node.engine.clone(), None);
         let heartbeat = Heartbeat::start(self.fs.clone(), epoch, self.config.heartbeat_interval);
         // Counted before the new writer is visible: whoever sees it (a
         // replayed statement, `STATUS`) also sees the promotion.
@@ -559,19 +502,15 @@ impl Cluster {
         *self.rw.write() = Some(RwNode {
             engine: node.engine.clone(),
             query,
-            column: Some(ColumnAttachment {
-                _replica: follower.engine,
-                _store: follower.store,
-                pipeline: follower.pipeline,
-            }),
             _heartbeat: Some(heartbeat),
         });
         self.notify_writer_change();
-        // Catch the column store up to the promotion point so IMCI
-        // plans answer from day one; later commits stream in via CALS
-        // like on any RO.
-        let column_caught_up =
-            col_metrics.wait_applied_at_least(state.position.applied_lsn, Duration::from_secs(60));
+        // Backfill outside the promotion lock: the checkpoint load and
+        // catch-up overlap with live writes, and a concurrent failover
+        // is not held up behind them.
+        drop(promotion);
+        let t_col = Instant::now();
+        let column_caught_up = self.scale_out().is_ok();
         let column_rebuild_time = t_col.elapsed();
         Ok(FailoverReport {
             promoted: node.name.clone(),
@@ -585,28 +524,6 @@ impl Cluster {
         })
     }
 
-    /// Bootstrap a CALS follower — row replica + column store + running
-    /// replication pipeline — from the newest checkpoint when one
-    /// exists, cold from log offset 0 otherwise ([`imci_replication::seed`]).
-    /// Shared by [`Cluster::scale_out`] (new RO node) and
-    /// [`Cluster::failover`] (the promoted writer's column rebuild).
-    fn boot_follower(&self) -> Result<Follower> {
-        let state = imci_replication::seed(&self.fs, self.config.group_cap)?;
-        let pipeline = Pipeline::start(
-            self.fs.clone(),
-            state.engine.clone(),
-            state.store.clone(),
-            self.config.replication.clone(),
-            state.position,
-        );
-        Ok(Follower {
-            engine: state.engine,
-            store: state.store,
-            pipeline,
-            from_checkpoint: state.checkpoint.is_some(),
-        })
-    }
-
     /// Add an RO node (paper §7): load the newest checkpoint if one
     /// exists, otherwise rebuild from the log, then catch up to the
     /// RW's written LSN. A node that has not caught up within 60 s is
@@ -615,37 +532,44 @@ impl Cluster {
         let id = self.next_ro_id.fetch_add(1, Ordering::SeqCst);
         let name = format!("ro-{id}");
         let t0 = Instant::now();
-        let follower = self.boot_follower()?;
+        // Seed from the newest checkpoint, or cold from log offset 0
+        // ([`imci_replication::seed`]), and tail the log from there.
+        let state = imci_replication::seed(&self.fs, self.config.group_cap)?;
+        let from_checkpoint = state.checkpoint.is_some();
+        let pipeline = Pipeline::start(
+            self.fs.clone(),
+            state.engine.clone(),
+            state.store.clone(),
+            self.config.replication.clone(),
+            state.position,
+        );
         let load_time = t0.elapsed();
 
         // Catch up to the RW's current commit point before serving.
         let t1 = Instant::now();
         let target = self.written_lsn();
-        if !follower
-            .pipeline
-            .wait_applied(target, Duration::from_secs(60))
-        {
-            follower.pipeline.stop();
+        if !pipeline.wait_applied(target, Duration::from_secs(60)) {
+            pipeline.stop();
             return Err(Error::Execution(format!(
                 "scale-out: {name} did not reach LSN {target} within 60 s ({})",
-                follower.pipeline.metrics().summary()
+                pipeline.metrics().summary()
             )));
         }
         let catchup_time = t1.elapsed();
 
-        let query = QueryEngine::new(follower.engine.clone(), Some(follower.store.clone()));
+        let query = QueryEngine::new(state.engine.clone(), Some(state.store.clone()));
         let node = Arc::new(RoNode {
             name: name.clone(),
-            engine: follower.engine,
-            store: follower.store,
+            engine: state.engine,
+            store: state.store,
             query,
-            pipeline: follower.pipeline,
+            pipeline,
             sessions: AtomicUsize::new(0),
         });
         self.ros.write().push(node);
         Ok(ScaleOutReport {
             name,
-            from_checkpoint: follower.from_checkpoint,
+            from_checkpoint,
             load_time,
             catchup_time,
         })
@@ -678,23 +602,15 @@ impl Cluster {
         current.max(floor)
     }
 
-    /// Highest applied LSN across the cluster's column replicas — the
-    /// RO nodes plus a promoted writer's column attachment. What the
-    /// server's `STATUS` statement reports.
+    /// Highest applied LSN across the RO nodes — what the server's
+    /// `STATUS` statement reports.
     pub fn applied_lsn(&self) -> u64 {
-        let mut best = self
-            .ros
+        self.ros
             .read()
             .iter()
             .map(|n| n.applied_lsn())
             .max()
-            .unwrap_or(0);
-        if let Some(node) = self.rw.read().as_ref() {
-            if let Some(col) = &node.column {
-                best = best.max(col.pipeline.metrics().applied_lsn());
-            }
-        }
-        best
+            .unwrap_or(0)
     }
 
     /// Wake anything parked in [`Cluster::wait_for_writer`]. Callers
@@ -746,17 +662,10 @@ impl Cluster {
     /// Idempotent: a second call replaces the previous supervisor.
     pub fn start_supervisor(self: &Arc<Cluster>, cfg: SupervisorConfig) {
         let weak = Arc::downgrade(self);
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = stop.clone();
         self.supervisor_state.store(SUP_ARMING, Ordering::SeqCst);
-        let handle = std::thread::Builder::new()
-            .name("cluster-supervisor".into())
-            .spawn(move || supervise(weak, cfg, stop2))
-            .expect("spawn supervisor thread");
-        *self.supervisor.lock() = Some(Supervisor {
-            stop,
-            handle: Some(handle),
-        });
+        let handle =
+            StopHandle::spawn("cluster-supervisor", move |stop| supervise(weak, cfg, stop));
+        *self.supervisor.lock() = Some(handle);
     }
 
     /// Stop the supervisor thread (no-op when none is running).
@@ -934,11 +843,9 @@ impl Cluster {
     /// stream as a versioned record and every RO applies it in LSN
     /// order with the data changes. With the writer role vacant
     /// (crash/failover window) the statement fails fast with the
-    /// retryable failover category instead of stalling. An engine pin
-    /// is honored when the writer is dual-format (promoted node); on a
-    /// row-only writer the column attempt reports
-    /// `ColumnEngineUnsupported` and `run` falls back to the row
-    /// engine, answering exactly as before.
+    /// retryable failover category instead of stalling. A column pin
+    /// reports `ColumnEngineUnsupported` on the row-only writer and
+    /// `run` falls back to the row engine.
     fn execute_rw(&self, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
         let rw = self.rw.read();
         match rw.as_ref() {
@@ -994,8 +901,8 @@ impl Cluster {
         }
     }
 
-    /// Stop the supervisor, all RO pipelines, and a promoted writer's
-    /// column pipeline (drops the nodes). Pipelines are stopped
+    /// Stop the supervisor, all RO pipelines and the writer's heartbeat
+    /// (drops the nodes). Pipelines are stopped
     /// explicitly — not via `Arc::try_unwrap`, which fails (and used to
     /// silently leak running threads) whenever a session still holds a
     /// node.
@@ -1008,9 +915,6 @@ impl Cluster {
             node.pipeline.stop();
         }
         if let Some(node) = self.rw.write().as_mut() {
-            if let Some(col) = &node.column {
-                col.pipeline.stop();
-            }
             node._heartbeat = None;
         }
     }
@@ -1018,7 +922,7 @@ impl Cluster {
 
 /// Supervisor thread body: watch the storage lease, trigger promotion
 /// on expiry. See [`Cluster::start_supervisor`] for the protocol.
-fn supervise(weak: Weak<Cluster>, cfg: SupervisorConfig, stop: Arc<(Mutex<bool>, Condvar)>) {
+fn supervise(weak: Weak<Cluster>, cfg: SupervisorConfig, stop: &(Mutex<bool>, Condvar)) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let jitter_us = cfg.jitter.as_micros().max(1) as u64;
     // Armed only after seeing a beat from the current volume epoch —
@@ -1575,7 +1479,9 @@ mod tests {
         assert_eq!(report.rolled_back_txns, 1);
         assert_eq!(report.rolled_back_ops, 2);
         assert!(report.column_caught_up);
-        assert_eq!(c.ros.read().len(), 1, "promoted node left the RO set");
+        let names: Vec<String> = c.ros.read().iter().map(|n| n.name.clone()).collect();
+        assert_eq!(names.len(), 2, "a backfilled RO replaced the promoted one");
+        assert!(!names.contains(&report.promoted), "{names:?}");
 
         // The committed prefix survived, the in-flight txn did not.
         let new_rw = c.rw().unwrap();
@@ -1648,8 +1554,10 @@ mod tests {
 
     #[test]
     fn repeated_failovers_keep_epochs_monotonic() {
+        // One RO: each round promotes the RO the previous round
+        // backfilled.
         let c = Cluster::start(ClusterConfig {
-            n_ro: 3,
+            n_ro: 1,
             group_cap: 64,
             ..Default::default()
         });
@@ -1664,7 +1572,7 @@ mod tests {
             assert!(report.column_caught_up);
             last_epoch = report.epoch;
         }
-        assert_eq!(c.ros.read().len(), 0, "each round consumed one RO");
+        assert_eq!(c.ros.read().len(), 1, "each round backfilled its RO");
         // All three rounds' writes survived three ownership changes.
         let res = c.execute("SELECT COUNT(*) FROM demo").unwrap();
         assert_eq!(res.rows[0][0], Value::Int(3));
@@ -1672,10 +1580,10 @@ mod tests {
     }
 
     #[test]
-    fn promoted_writer_serves_column_plans() {
-        // Full HTAP after failover: with the only RO promoted, reads
-        // fall through to the writer — which must answer COLUMN-engine
-        // plans from its rebuilt attachment, not just row plans.
+    fn backfilled_ro_serves_column_plans() {
+        // The writer stays row-only after failover: the RO that
+        // replaces the promoted one answers COLUMN-engine plans and
+        // tails the new writer's commits.
         let c = small_cluster();
         c.execute(DDL).unwrap();
         for i in 0..300 {
@@ -1687,7 +1595,7 @@ mod tests {
         }
         assert!(c.wait_sync(Duration::from_secs(20)));
         c.checkpoint_now().unwrap();
-        // Traffic after the checkpoint: the rebuild must cover the
+        // Traffic after the checkpoint: the backfill must cover the
         // REDO tail, not just the checkpoint image.
         for i in 300..350 {
             c.execute(&format!("INSERT INTO demo VALUES ({i}, 0, 1.0, 'b')"))
@@ -1695,13 +1603,14 @@ mod tests {
         }
         c.crash_rw();
         let report = c.failover().unwrap();
-        assert!(c.ros.read().is_empty(), "single RO was promoted");
         assert!(report.column_rebuild_time > Duration::ZERO);
         assert!(report.column_caught_up);
+        let backfill = c.ros.read()[0].clone();
+        assert_ne!(backfill.name, report.promoted, "the single RO was replaced");
 
         let opts = ExecOpts {
+            consistency: Some(Consistency::Strong),
             query: QueryOptions::forced(Some(EngineChoice::Column)),
-            ..Default::default()
         };
         let res = c
             .execute_opts(
@@ -1709,27 +1618,15 @@ mod tests {
                 opts,
             )
             .unwrap();
-        assert_eq!(
-            res.engine,
-            EngineChoice::Column,
-            "promoted RW must serve IMCI plans"
-        );
+        assert_eq!(res.engine, EngineChoice::Column, "the backfill serves IMCI");
         assert_eq!(res.rows[0][1], Value::Int(150));
-        // The attachment keeps tailing the new writer's own commits.
+        // A post-promotion commit reaches the backfill through the log.
         c.execute("INSERT INTO demo VALUES (999, 0, 1.0, 'c')")
             .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let res = c.execute_opts("SELECT COUNT(*) FROM demo", opts).unwrap();
-            if res.rows[0][0] == Value::Int(351) {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "post-promotion commit never became visible"
-            );
-            std::thread::yield_now();
-        }
+        let res = c.execute_opts("SELECT COUNT(*) FROM demo", opts).unwrap();
+        assert_eq!(res.engine, EngineChoice::Column);
+        assert_eq!(res.rows[0][0], Value::Int(351));
+        assert_eq!(backfill.pipeline.error_count(), 0);
         c.shutdown();
     }
 
@@ -1808,15 +1705,15 @@ mod tests {
         c.execute("INSERT INTO demo VALUES (1, 0, 1.0, 'x')")
             .unwrap();
         c.crash_rw();
-        c.failover().unwrap();
+        let epoch = c.failover().unwrap().epoch;
         // Give the supervisor several full lease windows to (wrongly)
         // react to the deposed epoch's silence.
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(c.auto_failovers(), 0, "manual failover must not be doubled");
         assert_eq!(
-            c.ros.read().len(),
-            1,
-            "only the manual promotion consumed an RO"
+            c.fs.current_epoch(),
+            epoch,
+            "only the manual promotion bumped the epoch"
         );
         c.execute("INSERT INTO demo VALUES (2, 0, 1.0, 'y')")
             .unwrap();
@@ -1876,31 +1773,16 @@ mod tests {
         c.shutdown();
     }
 
-    /// Run `f` on the promoted writer's column-attachment pipeline.
-    fn with_attachment<T>(c: &Cluster, f: impl FnOnce(&Pipeline) -> T) -> T {
-        let rw = c.rw.read();
-        let node = rw.as_ref().expect("a writer is installed");
-        f(&node.column.as_ref().expect("promoted writer").pipeline)
-    }
-
-    /// Wait until the attachment has applied everything written so far.
-    fn attachment_catch_up(c: &Cluster) {
-        let target = c.written_lsn();
-        with_attachment(c, |p| {
-            let caught_up = p.wait_applied(target, Duration::from_secs(20));
-            assert!(caught_up, "{}", p.metrics().summary());
-        });
-    }
-
     #[test]
-    fn promoted_writer_takes_ddl_into_its_column_store_only_from_the_log() {
-        // A promoted writer's attachment pipeline is the only writer of
-        // its column store. A DDL applied to the store beside it would
-        // race the attachment's still-buffered ops for the table, and
+    fn backfilled_ro_takes_ddl_into_its_column_store_only_from_the_log() {
+        // The RO that replaces a promoted one gets its DDL from the new
+        // writer's log alone. A DDL applied to its store beside its
+        // pipeline would race the still-buffered ops for the table, and
         // each op that lost the race would be a silent apply error.
         let c = small_cluster();
         c.crash_rw();
         c.failover().unwrap();
+        let backfill = c.ros.read()[0].clone();
         for round in 0..10 {
             let t = format!("churn_{round}");
             c.execute(&format!(
@@ -1909,7 +1791,7 @@ mod tests {
             ))
             .unwrap();
             // 200 rows in four transactions; the DROP follows the last
-            // commit at once, so the attachment still holds its ops.
+            // commit at once, so the RO still holds its ops.
             for batch in 0..4 {
                 let rows: Vec<String> = (batch * 50..(batch + 1) * 50)
                     .map(|i| format!("({i}, {round})"))
@@ -1918,11 +1800,11 @@ mod tests {
                     .unwrap();
             }
             c.execute(&format!("DROP TABLE {t}")).unwrap();
-            attachment_catch_up(&c);
-            assert_eq!(with_attachment(&c, |p| p.error_count()), 0, "round {round}");
+            assert!(c.wait_sync(Duration::from_secs(20)));
+            assert_eq!(backfill.pipeline.error_count(), 0, "round {round}");
         }
 
-        // ALTER under inserts the attachment has not applied yet: the
+        // ALTER under inserts the RO has not applied yet: the
         // index is built once, at the record's place in the log.
         c.execute("CREATE TABLE grow (id INT NOT NULL, v INT, PRIMARY KEY(id))")
             .unwrap();
@@ -1942,7 +1824,7 @@ mod tests {
         c.execute("ALTER TABLE grow ADD COLUMN INDEX (id, v)")
             .unwrap();
         writer.join().unwrap();
-        attachment_catch_up(&c);
+        assert!(c.wait_sync(Duration::from_secs(20)));
         let res = c
             .execute_opts(
                 "SELECT COUNT(*) FROM grow",
@@ -1954,7 +1836,7 @@ mod tests {
             .unwrap();
         assert_eq!(res.engine, EngineChoice::Column);
         assert_eq!(res.rows[0][0], Value::Int(2100));
-        assert_eq!(with_attachment(&c, |p| p.error_count()), 0);
+        assert_eq!(backfill.pipeline.error_count(), 0);
         c.shutdown();
     }
 }

@@ -53,11 +53,6 @@ impl VidMap {
         self.vids[i].load(Ordering::Acquire)
     }
 
-    /// Reset slot `i` to unset (abort of a pre-committed large txn).
-    pub fn clear(&self, i: usize) {
-        self.vids[i].store(VID_UNSET, Ordering::Release);
-    }
-
     /// Largest set VID (None when nothing set).
     pub fn max_set(&self) -> Option<u64> {
         self.vids
@@ -116,14 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn set_get_clear() {
+    fn set_get() {
         let m = VidMap::new(8);
+        assert_eq!(m.max_set(), None);
         m.set(3, Vid(42));
         assert_eq!(m.get(3), 42);
+        assert_eq!(m.get(2), VID_UNSET);
         assert_eq!(m.max_set(), Some(42));
-        m.clear(3);
-        assert_eq!(m.get(3), VID_UNSET);
-        assert_eq!(m.max_set(), None);
     }
 
     #[test]

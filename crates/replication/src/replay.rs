@@ -2,8 +2,7 @@
 //! seed, one replay, and the callers built from them.
 //!
 //! Every state that is not tailing the log live — a new RO node, a
-//! promoted writer's column half, a restarted RW, the next checkpoint —
-//! starts the same way:
+//! restarted RW, the next checkpoint — starts the same way:
 //!
 //! * [`seed`] — an empty state, or the newest checkpoint's catalog, row
 //!   pages, column indexes and [`LogPosition`];

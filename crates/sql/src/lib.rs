@@ -94,7 +94,7 @@ impl QueryResult {
 pub struct QueryEngine {
     /// The node's row engine (RW: logging; RO: replica).
     pub row: Arc<RowEngine>,
-    /// The node's column store (RO nodes and promoted writers).
+    /// The node's column store (RO nodes; `None` on the writer).
     pub store: Option<Arc<ColumnStore>>,
 }
 
@@ -470,9 +470,8 @@ impl QueryEngine {
 
     /// §3.3 online `ALTER TABLE ... ADD COLUMN INDEX`: register the new
     /// index in the schema. The change ships as a DDL record; every
-    /// column store (RO nodes and a promoted writer's attachment)
-    /// builds the index when its pipeline applies that record, at its
-    /// position in the log.
+    /// column store (one per RO node) builds the index when its
+    /// pipeline applies that record, at its position in the log.
     fn alter_add_column_index(&self, table: &str, columns: &[String]) -> Result<()> {
         let rt = self.row.table(table)?;
         let mut schema = rt.schema.clone();

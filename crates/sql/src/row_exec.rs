@@ -32,15 +32,13 @@ pub fn eval_row(e: &Expr, row: &[Value]) -> Result<Value> {
             if x.is_null() || y.is_null() {
                 return Ok(Value::Null);
             }
-            if *op != ArithOp::Div {
-                if let (Value::Int(i), Value::Int(j)) = (&x, &y) {
-                    return Ok(Value::Int(match op {
-                        ArithOp::Add => i + j,
-                        ArithOp::Sub => i - j,
-                        ArithOp::Mul => i * j,
-                        ArithOp::Div => unreachable!(),
-                    }));
-                }
+            // Integer fast path; Div, and any non-integer operand, take
+            // the float path below.
+            match (op, &x, &y) {
+                (ArithOp::Add, Value::Int(i), Value::Int(j)) => return Ok(Value::Int(i + j)),
+                (ArithOp::Sub, Value::Int(i), Value::Int(j)) => return Ok(Value::Int(i - j)),
+                (ArithOp::Mul, Value::Int(i), Value::Int(j)) => return Ok(Value::Int(i * j)),
+                _ => {}
             }
             let (i, j) = (
                 x.as_f64()
@@ -300,5 +298,18 @@ mod tests {
         assert_eq!(eval_row(&e, &row).unwrap(), Value::Int(1));
         let e = Expr::Arith(ArithOp::Add, Box::new(Expr::col(0)), Box::new(Expr::col(2)));
         assert_eq!(eval_row(&e, &row).unwrap(), Value::Null);
+        // Integers stay integers, except under division.
+        let e = Expr::Arith(
+            ArithOp::Mul,
+            Box::new(Expr::col(0)),
+            Box::new(Expr::lit(3i64)),
+        );
+        assert_eq!(eval_row(&e, &row).unwrap(), Value::Int(15));
+        let e = Expr::Arith(
+            ArithOp::Div,
+            Box::new(Expr::col(0)),
+            Box::new(Expr::lit(2i64)),
+        );
+        assert_eq!(eval_row(&e, &row).unwrap(), Value::Double(2.5));
     }
 }

@@ -16,7 +16,10 @@
 //! * the cluster serves reads and writes afterwards, with zero
 //!   replication errors.
 
-use polardb_imci::{Cluster, ClusterConfig, Consistency, Error, ExecOpts, SupervisorConfig, Value};
+use polardb_imci::sql::{QueryOptions, COST_THRESHOLD};
+use polardb_imci::{
+    Cluster, ClusterConfig, Consistency, EngineChoice, Error, ExecOpts, SupervisorConfig, Value,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -447,5 +450,53 @@ fn repeated_crash_cycles_accumulate_no_loss() {
         .execute_opts("SELECT COUNT(*) FROM walk", strong())
         .unwrap();
     assert_eq!(res.rows[0][0], Value::Int(expected));
+    c.shutdown();
+}
+
+/// Strong reads never regress across a failover. On a default cluster
+/// (one RO), each INSERT is visible to the Strong `COUNT(*)` right after
+/// it, with the column engine pinned and on default routing over a
+/// table above the router's cost threshold. The rounds before the
+/// failover are the control.
+#[test]
+fn strong_reads_see_every_insert_across_failover() {
+    let c = Cluster::start(ClusterConfig::default());
+    c.execute(
+        "CREATE TABLE big (id INT NOT NULL, v INT, PRIMARY KEY(id),
+         KEY COLUMN_INDEX(id, v))",
+    )
+    .unwrap();
+    // COUNT(*) over 15,000 rows costs above COST_THRESHOLD, so default
+    // routing picks the column engine on an RO.
+    let mut next = 15_000i64;
+    assert!(next as f64 > COST_THRESHOLD);
+    for start in (0..next).step_by(500) {
+        let rows: Vec<String> = (start..start + 500).map(|i| format!("({i}, 0)")).collect();
+        c.execute(&format!("INSERT INTO big VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    let mut rounds = |phase: &str| {
+        for engine in [Some(EngineChoice::Column), None] {
+            let opts = ExecOpts {
+                consistency: Some(Consistency::Strong),
+                query: QueryOptions::forced(engine),
+            };
+            for round in 0..200 {
+                c.execute(&format!("INSERT INTO big VALUES ({next}, 1)"))
+                    .unwrap();
+                next += 1;
+                let res = c.execute_opts("SELECT COUNT(*) FROM big", opts).unwrap();
+                assert_eq!(
+                    res.rows[0][0],
+                    Value::Int(next),
+                    "{phase}, engine {engine:?}, round {round}"
+                );
+            }
+        }
+    };
+    rounds("before failover");
+    c.crash_rw();
+    c.failover().unwrap();
+    rounds("after failover");
     c.shutdown();
 }

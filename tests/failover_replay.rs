@@ -6,8 +6,8 @@
 //! pipelined traffic through an RW kill never observes the `failover`
 //! error category — reads are transparently re-executed, `STMT`-tagged
 //! writes are replayed exactly-once against the promoted writer, and
-//! the promoted writer comes back serving **both** engines (`STATUS`
-//! role `rw+imci`).
+//! column plans keep running on the ROs (`STATUS` role `rw`: the
+//! promoted writer is row-only, and a backfilled RO replaces it).
 
 use polardb_imci::{
     Client, Cluster, ClusterConfig, Consistency, EngineChoice, Server, ServerConfig,
@@ -87,11 +87,10 @@ fn pipelined_client_sees_zero_errors_across_kill_promote() {
     let count = c.execute("SELECT COUNT(*) FROM r").unwrap();
     assert_eq!(count.rows[0][0], Value::Int(140));
 
-    // Full HTAP after promotion: the STATUS role says the new writer
-    // carries a rebuilt column attachment, and a forced-column plan
-    // executes on the column engine.
+    // Full HTAP after promotion: the new writer is a plain row writer,
+    // and a forced-column plan executes on the column engine of an RO.
     let after = c.status().unwrap();
-    assert_eq!(after.rows[0][0], Value::Str("rw+imci".into()));
+    assert_eq!(after.rows[0][0], Value::Str("rw".into()));
     assert_eq!(after.rows[0][4], Value::Int(1), "one auto-failover");
     c.set_force_engine(Some(EngineChoice::Column)).unwrap();
     let agg = c.execute("SELECT v, COUNT(*) FROM r GROUP BY v").unwrap();
