@@ -13,14 +13,25 @@
 //! (`ExecContext::parallelism == 1`), which stays as the ablation
 //! baseline; the `parallel_equiv` proptest oracle enforces this.
 //! Pack min/max metadata prunes groups before any data is touched.
+//!
+//! Hash aggregation groups on typed keys: a single `Int` key column maps
+//! rows to dense group ids without building a `Value` per row, and
+//! COUNT, SUM and AVG over `Int`/`Double` columns update from the typed
+//! slices (the `Vec<Value>` key and [`Acc::update`] remain the fallback
+//! for Str or several keys, MIN/MAX and DISTINCT). A `HashAgg` whose input is a
+//! `HashJoin` aggregates through the join: each probe batch's matches
+//! are gathered for the aggregate's columns only, folded and dropped,
+//! so the join output is never materialized.
 
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::kernels::{self, ColView};
 use crate::morsel;
 use crate::plan::{AggCall, AggFunc, PhysicalPlan, PruneRange};
-use imci_common::{Error, FxHashMap, Result, TableId, Value};
+use imci_common::{Error, FxBuildHasher, FxHashMap, Result, TableId, Value};
 use imci_core::{ColumnData, ColumnRead, PinnedGroup, SelVec, Snapshot};
+use std::borrow::Cow;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -408,12 +419,10 @@ fn int_part(k: i64, parts: usize) -> usize {
     (((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % parts
 }
 
-/// Partition selector for generic (multi-column / non-int) join keys.
+/// Partition selector for generic (multi-column / non-int) join keys:
+/// the same FxHash the partition maps use.
 fn gen_part(key: &[Value], parts: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() >> 32) as usize % parts
+    (FxBuildHasher::default().hash_one(key) >> 32) as usize % parts
 }
 
 /// The build side of a hash join: the materialized build batch plus
@@ -499,11 +508,11 @@ fn build_join_table(build: Batch, right_keys: &[usize], parts: usize) -> Result<
     })
 }
 
-/// Probe one batch against the build table. Emits (probe, build) index
-/// pairs in probe-row order — with per-key build lists in build-row
-/// order, the joined output for a given probe batch is fully
+/// Probe one batch against the build table. Returns the (probe, build)
+/// index pairs in probe-row order — with per-key build lists in
+/// build-row order, the joined rows of a given probe batch are fully
 /// deterministic and independent of partition count.
-fn probe_batch(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> Option<Batch> {
+fn probe_pairs(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> (Vec<u32>, Vec<u32>) {
     let mut lidx: Vec<u32> = Vec::new();
     let mut ridx: Vec<u32> = Vec::new();
     match &jt.keys {
@@ -551,15 +560,61 @@ fn probe_batch(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> Option<Batch>
             }
         }
     }
+    (lidx, ridx)
+}
+
+/// Gather the join-output columns `cols` — numbered as
+/// [`PhysicalPlan::HashJoin`] numbers them, probe columns first — at
+/// the match pairs.
+fn gather_joined(lb: &Batch, build: &Batch, lidx: &[u32], ridx: &[u32], cols: &[usize]) -> Batch {
+    let lw = lb.width();
+    Batch {
+        cols: cols
+            .iter()
+            .map(|&c| match c.checked_sub(lw) {
+                None => lb.cols[c].gather(lidx),
+                Some(bc) => build.cols[bc].gather(ridx),
+            })
+            .collect(),
+        len: lidx.len(),
+    }
+}
+
+/// One probe batch's full join output (`None` when nothing matched).
+fn probe_batch(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> Option<Batch> {
+    let (lidx, ridx) = probe_pairs(lb, left_keys, jt);
     if lidx.is_empty() {
         return None;
     }
-    let mut cols: Vec<ColumnData> = lb.cols.iter().map(|c| c.gather(&lidx)).collect();
-    cols.extend(jt.build.cols.iter().map(|c| c.gather(&ridx)));
-    Some(Batch {
-        cols,
-        len: lidx.len(),
-    })
+    let all: Vec<usize> = (0..lb.width() + jt.build.width()).collect();
+    Some(gather_joined(lb, &jt.build, &lidx, &ridx, &all))
+}
+
+/// A hash join's blocking build phase, then its probe input: the build
+/// side is materialized and its key maps built — hash-partitioned
+/// across the pool when the context allows (capped: each partition
+/// builder scans the key column once, so very wide fan-out buys
+/// nothing) — and the probe side runs to its batches.
+fn join_inputs(
+    ctx: &ExecContext,
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
+    right_keys: &[usize],
+    op: usize,
+    stats: Option<&StatsCell>,
+) -> Result<(Arc<JoinTable>, Vec<Batch>)> {
+    // Pre-order ids: probe subtree first, then the build subtree.
+    let right_op = op + 1 + left.op_count();
+    let build = Batch::concat(&exec_node(right, ctx, right_op, stats)?)?;
+    let parts = ctx.parallelism.clamp(1, 8);
+    if parts > 1 {
+        if let Some(s) = stats {
+            s.add_morsels(op, parts as u64);
+        }
+    }
+    let jt = Arc::new(build_join_table(build, right_keys, parts)?);
+    let lbs = exec_node(left, ctx, op + 1, stats)?;
+    Ok((jt, lbs))
 }
 
 fn hash_join(
@@ -571,32 +626,15 @@ fn hash_join(
     op: usize,
     stats: Option<&StatsCell>,
 ) -> Result<Vec<Batch>> {
-    // Pre-order ids: probe subtree first, then the build subtree.
-    let right_op = op + 1 + left.op_count();
-    // Build phase (blocking): materialize the right side, then build
-    // the key maps — hash-partitioned across the pool when the context
-    // allows (capped: each partition builder scans the key column once,
-    // so very wide fan-out buys nothing).
-    let build = Batch::concat(&exec_node(right, ctx, right_op, stats)?)?;
-    let parts = ctx.parallelism.clamp(1, 8);
-    if parts > 1 {
-        if let Some(s) = stats {
-            s.add_morsels(op, parts as u64);
-        }
-    }
-    let jt = Arc::new(build_join_table(build, right_keys, parts)?);
+    let (jt, lbs) = join_inputs(ctx, left, right, right_keys, op, stats)?;
     // Probe phase: each probe batch is one morsel; results are gathered
     // in batch order, preserving the serial output order exactly.
-    let lbs = exec_node(left, ctx, op + 1, stats)?;
     let par = ctx.par(lbs.len());
     if par == 1 {
-        let mut out = Vec::new();
-        for lb in &lbs {
-            if let Some(b) = probe_batch(lb, left_keys, &jt) {
-                out.push(b);
-            }
-        }
-        return Ok(out);
+        return Ok(lbs
+            .iter()
+            .filter_map(|lb| probe_batch(lb, left_keys, &jt))
+            .collect());
     }
     if let Some(s) = stats {
         s.add_morsels(op, lbs.len() as u64);
@@ -660,62 +698,66 @@ impl Acc {
 
     /// Fold one input value (`None` for `COUNT(*)`) into the state.
     pub fn update(&mut self, v: Option<&Value>) {
+        match (self, v) {
+            (Acc::CountStar(n), _) => *n += 1,
+            (acc @ (Acc::Count(_) | Acc::Sum { .. } | Acc::Avg { .. }), Some(Value::Int(i))) => {
+                acc.update_int(*i)
+            }
+            (acc @ (Acc::Count(_) | Acc::Sum { .. } | Acc::Avg { .. }), Some(Value::Double(d))) => {
+                acc.update_f64(*d)
+            }
+            (Acc::Count(n), Some(x)) if !x.is_null() => *n += 1,
+            (Acc::Avg { sum, n }, Some(Value::Date(d))) => {
+                *sum += *d as f64;
+                *n += 1;
+            }
+            (Acc::CountDistinct(set), Some(x)) if !x.is_null() => {
+                set.insert(x.clone());
+            }
+            (Acc::Min(m), Some(x)) if !x.is_null() && m.as_ref().is_none_or(|cur| x < cur) => {
+                *m = Some(x.clone());
+            }
+            (Acc::Max(m), Some(x)) if !x.is_null() && m.as_ref().is_none_or(|cur| x > cur) => {
+                *m = Some(x.clone());
+            }
+            _ => {}
+        }
+    }
+
+    /// `update(Some(&Value::Int(v)))` for COUNT, SUM and AVG — the
+    /// typed aggregation loops call it straight from an `i64` slice.
+    #[inline]
+    fn update_int(&mut self, v: i64) {
         match self {
-            Acc::CountStar(n) => *n += 1,
-            Acc::Count(n) => {
-                if matches!(v, Some(x) if !x.is_null()) {
-                    *n += 1;
-                }
-            }
-            Acc::CountDistinct(set) => {
-                if let Some(x) = v {
-                    if !x.is_null() {
-                        set.insert(x.clone());
-                    }
-                }
-            }
-            Acc::Sum {
-                sum,
-                any,
-                int,
-                isum,
-            } => {
-                if let Some(x) = v {
-                    match x {
-                        Value::Int(i) => {
-                            *isum += i;
-                            *sum += *i as f64;
-                            *any = true;
-                        }
-                        Value::Double(d) => {
-                            *sum += d;
-                            *int = false;
-                            *any = true;
-                        }
-                        _ => {}
-                    }
-                }
+            Acc::Count(n) => *n += 1,
+            Acc::Sum { sum, any, isum, .. } => {
+                *isum += v;
+                *sum += v as f64;
+                *any = true;
             }
             Acc::Avg { sum, n } => {
-                if let Some(f) = v.and_then(|x| x.as_f64()) {
-                    *sum += f;
-                    *n += 1;
-                }
+                *sum += v as f64;
+                *n += 1;
             }
-            Acc::Min(m) => {
-                if let Some(x) = v {
-                    if !x.is_null() && m.as_ref().is_none_or(|cur| x < cur) {
-                        *m = Some(x.clone());
-                    }
-                }
+            _ => {}
+        }
+    }
+
+    /// `update(Some(&Value::Double(v)))` for COUNT, SUM and AVG.
+    #[inline]
+    fn update_f64(&mut self, v: f64) {
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum { sum, any, int, .. } => {
+                *sum += v;
+                *int = false;
+                *any = true;
             }
-            Acc::Max(m) => {
-                if let Some(x) = v {
-                    if !x.is_null() && m.as_ref().is_none_or(|cur| x > cur) {
-                        *m = Some(x.clone());
-                    }
-                }
+            Acc::Avg { sum, n } => {
+                *sum += v;
+                *n += 1;
             }
+            _ => {}
         }
     }
 
@@ -792,43 +834,409 @@ impl Acc {
     }
 }
 
-type AggTable = FxHashMap<Vec<Value>, Vec<Acc>>;
+/// Group key → dense group id, as typed as the key columns allow.
+enum GroupIds {
+    /// One `Int` (or DATE) key; NULL has its own group.
+    Int {
+        map: FxHashMap<i64, u32>,
+        null: Option<u32>,
+    },
+    /// Anything else (Str keys, several keys): the key's values.
+    Gen(FxHashMap<Vec<Value>, u32>),
+}
 
-/// Accumulate one batch into an aggregation table.
-fn agg_into(table: &mut AggTable, b: &Batch, group_by: &[Expr], aggs: &[AggCall]) -> Result<()> {
-    let key_cols = group_by
-        .iter()
-        .map(|e| e.eval(b))
-        .collect::<Result<Vec<ColumnData>>>()?;
-    let arg_cols = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval(b)).transpose())
-        .collect::<Result<Vec<Option<ColumnData>>>>()?;
-    for r in 0..b.len {
-        let key: Vec<Value> = key_cols.iter().map(|c| c.get(r)).collect();
-        let accs = table
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(Acc::new).collect());
-        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-            match arg {
-                Some(col) => acc.update(Some(&col.get(r))),
-                None => acc.update(None),
+impl GroupIds {
+    /// The map for a first batch of `n` keys (`int`: all `Int`).
+    fn for_keys(n: usize, int: bool) -> GroupIds {
+        if n == 1 && int {
+            GroupIds::Int {
+                map: FxHashMap::default(),
+                null: None,
+            }
+        } else {
+            GroupIds::Gen(FxHashMap::default())
+        }
+    }
+
+    /// Group of `key`: `Err(())` when the key does not fit this map's
+    /// type, `Ok(None)` when it fits but has no group yet.
+    fn get(&self, key: &[Value]) -> std::result::Result<Option<u32>, ()> {
+        match (self, key) {
+            (GroupIds::Int { map, .. }, [Value::Int(k)]) => Ok(map.get(k).copied()),
+            (GroupIds::Int { null, .. }, [Value::Null]) => Ok(*null),
+            (GroupIds::Int { .. }, _) => Err(()),
+            (GroupIds::Gen(map), _) => Ok(map.get(key).copied()),
+        }
+    }
+
+    /// Record `key → g` for a key [`GroupIds::get`] accepted.
+    fn insert(&mut self, key: &[Value], g: u32) {
+        match (self, key) {
+            (GroupIds::Int { map, .. }, [Value::Int(k)]) => {
+                map.insert(*k, g);
+            }
+            (GroupIds::Int { null, .. }, _) => *null = Some(g),
+            (GroupIds::Gen(map), _) => {
+                map.insert(key.to_vec(), g);
             }
         }
     }
-    Ok(())
 }
 
-/// Fold a partial table into the global one (combine step).
-fn merge_agg(into: &mut AggTable, from: AggTable) {
-    for (key, accs) in from {
-        if let Some(cur) = into.get_mut(&key) {
-            for (a, b) in cur.iter_mut().zip(accs) {
-                a.merge(b);
-            }
-        } else {
-            into.insert(key, accs);
+/// Groups in creation (dense id) order, stored flat:
+/// `keys[gid * n_keys + k]` is key `k` of group `gid`,
+/// `accs[gid * aggs.len() + j]` its aggregate `j`.
+struct Groups {
+    n_keys: usize,
+    len: usize,
+    keys: Vec<Value>,
+    accs: Vec<Acc>,
+}
+
+impl Groups {
+    fn key(&self, g: usize) -> &[Value] {
+        &self.keys[g * self.n_keys..][..self.n_keys]
+    }
+
+    /// Append a group with fresh accumulators; returns its id.
+    fn push(&mut self, key: &[Value], aggs: &[AggCall]) -> u32 {
+        self.keys.extend_from_slice(key);
+        self.accs.extend(aggs.iter().map(Acc::new));
+        self.len += 1;
+        (self.len - 1) as u32
+    }
+}
+
+/// Hash-aggregation state: dense group ids over typed keys where the
+/// keys allow, and the groups they index.
+struct AggState {
+    ids: GroupIds,
+    groups: Groups,
+    /// Input rows folded (a fused join reports them as its output).
+    rows: u64,
+}
+
+/// `e` over `b`, borrowing a plain column reference instead of copying
+/// it.
+fn eval_cow<'a>(e: &Expr, b: &'a Batch) -> Result<Cow<'a, ColumnData>> {
+    match e {
+        Expr::Col(i) => Ok(Cow::Borrowed(&b.cols[*i])),
+        _ => e.eval(b).map(Cow::Owned),
+    }
+}
+
+impl AggState {
+    fn new(n_keys: usize) -> AggState {
+        AggState {
+            // Re-chosen from the first batch's key columns.
+            ids: GroupIds::for_keys(n_keys, true),
+            groups: Groups {
+                n_keys,
+                len: 0,
+                keys: Vec::new(),
+                accs: Vec::new(),
+            },
+            rows: 0,
         }
+    }
+
+    /// The group of `key` and whether it was just created (with fresh
+    /// accumulators). A key the typed map cannot hold turns the map
+    /// generic for good.
+    fn group(&mut self, key: &[Value], aggs: &[AggCall]) -> (u32, bool) {
+        let found = match self.ids.get(key) {
+            Ok(found) => found,
+            Err(()) => {
+                let groups = &self.groups;
+                let gen = (0..groups.len)
+                    .map(|g| (groups.key(g).to_vec(), g as u32))
+                    .collect();
+                self.ids = GroupIds::Gen(gen);
+                self.ids.get(key).unwrap_or(None)
+            }
+        };
+        if let Some(g) = found {
+            return (g, false);
+        }
+        let g = self.groups.push(key, aggs);
+        self.ids.insert(key, g);
+        (g, true)
+    }
+
+    /// Dense group ids of `b`'s rows under the evaluated `keys`.
+    fn group_ids(&mut self, keys: &[Cow<ColumnData>], len: usize, aggs: &[AggCall]) -> Vec<u32> {
+        if keys.is_empty() {
+            return vec![self.group(&[], aggs).0; len];
+        }
+        let int = match &*keys[0] {
+            ColumnData::Int { vals, nulls } if keys.len() == 1 && nulls.len() >= len => {
+                Some((vals, nulls))
+            }
+            _ => None,
+        };
+        if self.groups.len == 0 {
+            self.ids = GroupIds::for_keys(keys.len(), int.is_some());
+        }
+        if let (Some((vals, nulls)), GroupIds::Int { map, null }) = (int, &mut self.ids) {
+            let groups = &mut self.groups;
+            return (0..len)
+                .map(|r| match nulls[r] {
+                    true => *null.get_or_insert_with(|| groups.push(&[Value::Null], aggs)),
+                    false => *map
+                        .entry(vals[r])
+                        .or_insert_with(|| groups.push(&[Value::Int(vals[r])], aggs)),
+                })
+                .collect();
+        }
+        (0..len)
+            .map(|r| {
+                let key: Vec<Value> = keys.iter().map(|c| c.get(r)).collect();
+                self.group(&key, aggs).0
+            })
+            .collect()
+    }
+
+    /// Fold one batch. COUNT, SUM and AVG over `Int`/`Double` columns
+    /// update straight from the typed slices; everything else (MIN,
+    /// MAX, DISTINCT, Str arguments) goes through [`Acc::update`]. Each
+    /// accumulator sees its rows in batch order either way.
+    fn fold(&mut self, b: &Batch, group_by: &[Expr], aggs: &[AggCall]) -> Result<()> {
+        let keys = group_by
+            .iter()
+            .map(|e| eval_cow(e, b))
+            .collect::<Result<Vec<_>>>()?;
+        let args = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| eval_cow(e, b)).transpose())
+            .collect::<Result<Vec<_>>>()?;
+        let gids = self.group_ids(&keys, b.len, aggs);
+        self.rows += b.len as u64;
+        let n = aggs.len();
+        let accs = &mut self.groups.accs;
+        for (j, (call, arg)) in aggs.iter().zip(&args).enumerate() {
+            let typed = !call.distinct
+                && matches!(call.func, AggFunc::Count | AggFunc::Sum | AggFunc::Avg)
+                && arg.as_ref().is_some_and(|c| c.len() >= gids.len());
+            let slot = |g: u32| g as usize * n + j;
+            match arg.as_deref() {
+                Some(ColumnData::Int { vals, nulls }) if typed => {
+                    for (r, &g) in gids.iter().enumerate() {
+                        if !nulls[r] {
+                            accs[slot(g)].update_int(vals[r]);
+                        }
+                    }
+                }
+                Some(ColumnData::Double { vals, nulls }) if typed => {
+                    for (r, &g) in gids.iter().enumerate() {
+                        if !nulls[r] {
+                            accs[slot(g)].update_f64(vals[r]);
+                        }
+                    }
+                }
+                Some(col) => {
+                    for (r, &g) in gids.iter().enumerate() {
+                        accs[slot(g)].update(Some(&col.get(r)));
+                    }
+                }
+                None => {
+                    for &g in &gids {
+                        accs[slot(g)].update(None);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold a later morsel's partial state into this one (combine
+    /// step): a group new here takes the partial's accumulators as they
+    /// are, an existing one merges them.
+    fn merge(&mut self, mut other: AggState, aggs: &[AggCall]) {
+        if self.groups.len == 0 {
+            let rows = self.rows;
+            *self = other;
+            self.rows += rows;
+            return;
+        }
+        let na = aggs.len();
+        self.rows += other.rows;
+        let mut accs = std::mem::take(&mut other.groups.accs).into_iter();
+        for og in 0..other.groups.len {
+            let (g, created) = self.group(other.groups.key(og), aggs);
+            for (slot, acc) in self.groups.accs[g as usize * na..][..na]
+                .iter_mut()
+                .zip(accs.by_ref())
+            {
+                if created {
+                    *slot = acc;
+                } else {
+                    slot.merge(acc);
+                }
+            }
+        }
+    }
+
+    /// Output batch: group keys ++ aggregate results, sorted by key.
+    fn into_batch(mut self, group_by: &[Expr], aggs: &[AggCall]) -> Result<Batch> {
+        // Global aggregate over an empty input still yields one row.
+        if self.groups.len == 0 && group_by.is_empty() {
+            self.group(&[], aggs);
+        }
+        // Ascending key order (NULL first); one Int key sorts as i64.
+        let order: Vec<usize> = match &self.ids {
+            GroupIds::Int { map, null } => {
+                let mut by_key: Vec<(i64, u32)> = map.iter().map(|(&k, &g)| (k, g)).collect();
+                by_key.sort_unstable();
+                null.iter()
+                    .chain(by_key.iter().map(|(_, g)| g))
+                    .map(|&g| g as usize)
+                    .collect()
+            }
+            _ => {
+                let groups = &self.groups;
+                let mut order: Vec<usize> = (0..groups.len).collect();
+                order.sort_by(|&a, &b| groups.key(a).cmp(groups.key(b)));
+                order
+            }
+        };
+        let Groups {
+            n_keys: nk,
+            keys,
+            accs,
+            ..
+        } = self.groups;
+        let na = aggs.len();
+        let results: Vec<Value> = accs.into_iter().map(Acc::finish).collect();
+        let value = |g: usize, c: usize| match c.checked_sub(nk) {
+            None => &keys[g * nk + c],
+            Some(j) => &results[g * na + j],
+        };
+        let cols = (0..nk + na)
+            .map(|c| {
+                // Column types come from the first non-null value in
+                // each column, not the first row: a leading group can
+                // aggregate to NULL (e.g. SUM over an all-null group)
+                // while a later one is a double.
+                let ty = order
+                    .iter()
+                    .find_map(|&g| value(g, c).data_type())
+                    .unwrap_or(imci_common::DataType::Int);
+                let mut col = ColumnData::new(ty);
+                for (r, &g) in order.iter().enumerate() {
+                    col.set(r, value(g, c))?;
+                }
+                Ok(col)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Batch {
+            cols,
+            len: order.len(),
+        })
+    }
+}
+
+/// Fold `units` into one aggregate state with `fold`, which returns
+/// false for a unit that contributed nothing. Serially that is one
+/// state; when the context allows several morsels, each unit folds
+/// into its own partial on the pool and the partials combine in unit
+/// order — the order that keeps repeated runs bit-identical even for
+/// float sums. Returns the state and the number of partials combined
+/// (0 when serial).
+fn fold_units<J: Send + Sync + 'static>(
+    ctx: &ExecContext,
+    units: Vec<Batch>,
+    job: J,
+    n_keys: usize,
+    aggs: &[AggCall],
+    fold: fn(&J, &Batch, &mut AggState) -> Result<bool>,
+) -> Result<(AggState, usize)> {
+    let mut state = AggState::new(n_keys);
+    let par = ctx.par(units.len());
+    if par == 1 {
+        for u in &units {
+            fold(&job, u, &mut state)?;
+        }
+        return Ok((state, 0));
+    }
+    let n = units.len();
+    let shared = Arc::new((units, job));
+    let partials = morsel::run_morsels(par, n, move |i| {
+        let mut t = AggState::new(n_keys);
+        fold(&shared.1, &shared.0[i], &mut t).map(|hit| hit.then_some(t))
+    });
+    let mut merged = 0;
+    for p in partials {
+        match p {
+            None => return Err(Error::Execution("morsel worker panicked".into())),
+            Some(Err(e)) => return Err(e),
+            Some(Ok(Some(t))) => {
+                state.merge(t, aggs);
+                merged += 1;
+            }
+            Some(Ok(None)) => {}
+        }
+    }
+    Ok((state, merged))
+}
+
+/// A `HashAgg` directly over a `HashJoin` aggregates through the join:
+/// each probe batch's matches are gathered for only the columns the
+/// aggregate reads, folded and dropped, so the join output is never
+/// materialized. Per probe batch this folds exactly the rows, in the
+/// order, that the materialized join would hand the aggregate as one
+/// batch, so results are bit-identical to that path.
+struct JoinAgg {
+    left_keys: Vec<usize>,
+    jt: Arc<JoinTable>,
+    /// Join-output columns the aggregate reads, ascending.
+    cols: Vec<usize>,
+    /// `group_by` and `aggs` remapped onto `cols`.
+    group_by: Vec<Expr>,
+    aggs: Vec<AggCall>,
+}
+
+impl JoinAgg {
+    fn new(
+        left_keys: &[usize],
+        jt: Arc<JoinTable>,
+        group_by: &[Expr],
+        aggs: &[AggCall],
+    ) -> JoinAgg {
+        let mut cols = Vec::new();
+        for e in group_by
+            .iter()
+            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+        {
+            e.referenced_cols(&mut cols);
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        let remap = |e: &Expr| e.remap(&|c| cols.binary_search(&c).unwrap_or(0));
+        JoinAgg {
+            left_keys: left_keys.to_vec(),
+            jt,
+            group_by: group_by.iter().map(remap).collect(),
+            aggs: aggs
+                .iter()
+                .map(|a| AggCall {
+                    arg: a.arg.as_ref().map(remap),
+                    ..a.clone()
+                })
+                .collect(),
+            cols,
+        }
+    }
+
+    /// Probe `lb` and fold its matches into `state`; false when nothing
+    /// matched.
+    fn fold_probe(&self, lb: &Batch, state: &mut AggState) -> Result<bool> {
+        let (lidx, ridx) = probe_pairs(lb, &self.left_keys, &self.jt);
+        if lidx.is_empty() {
+            return Ok(false);
+        }
+        let narrow = gather_joined(lb, &self.jt.build, &lidx, &ridx, &self.cols);
+        state.fold(&narrow, &self.group_by, &self.aggs)?;
+        Ok(true)
     }
 }
 
@@ -840,65 +1248,51 @@ fn hash_agg(
     op: usize,
     stats: Option<&StatsCell>,
 ) -> Result<Batch> {
-    let batches = exec_node(input, ctx, op + 1, stats)?;
-    let par = ctx.par(batches.len());
-    let mut table: AggTable = FxHashMap::default();
-    if par == 1 {
-        for b in &batches {
-            agg_into(&mut table, b, group_by, aggs)?;
-        }
-    } else {
-        // Partial aggregation: one partial table per input batch built
-        // on the pool, combined here in batch order. The deterministic
-        // combine order keeps repeated runs bit-identical even for
-        // float sums.
-        if let Some(s) = stats {
-            s.add_morsels(op, batches.len() as u64);
-        }
-        let n = batches.len();
-        let shared = Arc::new((batches, group_by.to_vec(), aggs.to_vec()));
-        let partials = morsel::run_morsels(par, n, move |i| {
-            let mut t = AggTable::default();
-            agg_into(&mut t, &shared.0[i], &shared.1, &shared.2).map(|()| t)
-        });
-        for p in partials {
-            match p {
-                None => return Err(Error::Execution("morsel worker panicked".into())),
-                Some(Err(e)) => return Err(e),
-                Some(Ok(t)) => merge_agg(&mut table, t),
+    let (state, partials) = match input {
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+        } => {
+            // The join's counters are the ones the materialized join
+            // reports: its probe morsels and its matches.
+            let join_op = op + 1;
+            let (jt, lbs) = join_inputs(ctx, left, right, right_keys, join_op, stats)?;
+            if ctx.par(lbs.len()) > 1 {
+                if let Some(s) = stats {
+                    s.add_morsels(join_op, lbs.len() as u64);
+                }
             }
+            let job = JoinAgg::new(left_keys, jt, group_by, aggs);
+            let (state, partials) =
+                fold_units(ctx, lbs, job, group_by.len(), aggs, JoinAgg::fold_probe)?;
+            if let Some(s) = stats {
+                s.add_rows(join_op, state.rows);
+            }
+            (state, partials)
+        }
+        _ => {
+            let batches = exec_node(input, ctx, op + 1, stats)?;
+            let job = (group_by.to_vec(), aggs.to_vec());
+            fold_units(
+                ctx,
+                batches,
+                job,
+                group_by.len(),
+                aggs,
+                |(g, a), b, state| state.fold(b, g, a).map(|()| true),
+            )?
+        }
+    };
+    // Partial aggregation runs on the pool only over several non-empty
+    // input batches.
+    if partials > 1 {
+        if let Some(s) = stats {
+            s.add_morsels(op, partials as u64);
         }
     }
-    // Global aggregate over an empty input still yields one row.
-    if table.is_empty() && group_by.is_empty() {
-        table.insert(Vec::new(), aggs.iter().map(Acc::new).collect());
-    }
-    // Output: group keys ++ agg results, deterministic (sorted by key).
-    let mut rows: Vec<(Vec<Value>, Vec<Acc>)> = table.into_iter().collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    let width = group_by.len() + aggs.len();
-    let vals: Vec<Vec<Value>> = rows
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs.into_iter().map(Acc::finish));
-            key
-        })
-        .collect();
-    // Column types come from the first non-null value in each column,
-    // not the first row: a leading group can aggregate to NULL (e.g.
-    // SUM over an all-null group) while a later one is a double.
-    let types: Vec<imci_common::DataType> = (0..width)
-        .map(|c| {
-            vals.iter()
-                .find_map(|row| row[c].data_type())
-                .unwrap_or(imci_common::DataType::Int)
-        })
-        .collect();
-    let mut out = Batch::empty(&types);
-    for row in &vals {
-        out.push_values(row)?;
-    }
-    Ok(out)
+    state.into_batch(group_by, aggs)
 }
 
 /// Total-order comparator over `b`'s rows: sort keys, then original
@@ -1352,6 +1746,27 @@ mod tests {
     }
 
     #[test]
+    fn typed_group_map_turns_generic_on_a_key_it_cannot_hold() {
+        let count = [AggCall {
+            func: AggFunc::CountStar,
+            arg: None,
+            distinct: false,
+        }];
+        let mut keys = Batch::empty(&[DataType::Int]);
+        for k in [Value::Int(3), Value::Null, Value::Int(3)] {
+            keys.push_values(&[k]).unwrap();
+        }
+        let mut state = AggState::new(1);
+        state.fold(&keys, &[Expr::col(0)], &count).unwrap();
+        assert!(matches!(state.ids, GroupIds::Int { .. }));
+        let (g_str, created) = state.group(&[Value::Str("x".into())], &count);
+        assert!(matches!(state.ids, GroupIds::Gen(_)));
+        assert_eq!((g_str, created), (2, true), "a new group for the Str key");
+        assert_eq!(state.group(&[Value::Int(3)], &count), (0, false));
+        assert_eq!(state.group(&[Value::Null], &count), (1, false));
+    }
+
+    #[test]
     fn default_parallelism_leaves_one_core_free() {
         let threads = morsel::WorkerPool::global().threads();
         let ctx = ExecContext::new(FxHashMap::default());
@@ -1378,5 +1793,45 @@ mod tests {
         assert_eq!(stats.rows[1], 64, "scan output rows");
         assert_eq!(stats.morsels[1], 8, "one morsel per row group");
         assert!(stats.total_morsels() >= 8);
+
+        // An aggregate folded straight out of a join reports the join's
+        // rows and morsels as the materialized join does (an identity
+        // Project between the two keeps the join output materialized).
+        let join = PhysicalPlan::HashJoin {
+            left: Box::new(scan_all()),
+            right: Box::new(scan_all()),
+            left_keys: vec![2],
+            right_keys: vec![0],
+        };
+        let agg_over = |input: PhysicalPlan| PhysicalPlan::HashAgg {
+            input: Box::new(input),
+            group_by: vec![Expr::col(5)],
+            aggs: vec![AggCall {
+                func: AggFunc::Sum,
+                arg: Some(Expr::col(3)),
+                distinct: false,
+            }],
+        };
+        let materialized = agg_over(PhysicalPlan::Project {
+            input: Box::new(join.clone()),
+            exprs: (0..8).map(Expr::col).collect(),
+        });
+        for par in [1, 4] {
+            ctx.parallelism = par;
+            let (fused_out, fused) = execute_with_stats(&agg_over(join.clone()), &ctx).unwrap();
+            let (mat_out, mat) = execute_with_stats(&materialized, &ctx).unwrap();
+            assert_eq!(
+                fused.rows[1], 64,
+                "par={par}: qty ∈ 0..10 matches one id each"
+            );
+            assert_eq!(fused.rows[1], mat.rows[2], "par={par}: join rows");
+            assert_eq!(fused.morsels[1], mat.morsels[2], "par={par}: join morsels");
+            assert_eq!(fused.morsels[0], mat.morsels[0], "par={par}: agg morsels");
+            assert_eq!(fused.rows[2..], mat.rows[3..], "par={par}: scans");
+            assert_eq!(fused_out.len, 4, "par={par}: four regions");
+            for r in 0..fused_out.len {
+                assert_eq!(fused_out.row(r), mat_out.row(r), "par={par} row {r}");
+            }
+        }
     }
 }

@@ -364,6 +364,18 @@ impl PolarFs {
         data.len
     }
 
+    /// Wake every reader parked in [`PolarFs::wait_for_growth`] on log
+    /// `name` without appending, so it re-checks its own exit flags
+    /// now rather than after its timeout. The notify is taken under the
+    /// log's lock: a reader is either already parked and wakes, or
+    /// has not checked the length yet. One that read its flags just
+    /// before they were raised still parks for its timeout.
+    pub fn wake_log_readers(&self, name: &str) {
+        let f = self.log(name);
+        let _data = f.data.lock();
+        f.grew.notify_all();
+    }
+
     // ---- page store ----
 
     /// Persist a page image under `(space, page)`.

@@ -84,6 +84,9 @@ type Drained = Result<(Vec<(Tid, UndoOp)>, LogPosition)>;
 
 /// A running replication pipeline for one RO node.
 pub struct Pipeline {
+    /// The volume the reader tails; raising a flag wakes the reader
+    /// through it.
+    fs: PolarFs,
     metrics: Arc<ReplicationMetrics>,
     stop: Arc<AtomicBool>,
     /// Softer than `stop`: finish consuming the (now-static,
@@ -123,6 +126,7 @@ impl Pipeline {
         let reader = {
             let (stop, drain) = (stop.clone(), drain.clone());
             let (metrics, errors) = (metrics.clone(), errors.clone());
+            let fs = fs.clone();
             std::thread::spawn(move || {
                 let mut reader = LogReader::new(fs.clone(), start.offset);
                 let mut applier =
@@ -151,6 +155,7 @@ impl Pipeline {
             })
         };
         Pipeline {
+            fs,
             metrics,
             stop,
             drain,
@@ -181,6 +186,7 @@ impl Pipeline {
     /// even when sessions still hold the node `Arc`.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.fs.wake_log_readers(REDO_LOG_NAME);
         self.join();
     }
 
@@ -195,6 +201,7 @@ impl Pipeline {
     /// or stopped at a log frame that did not decode.
     pub fn stop_after_drain(&self) -> Result<PromotionState> {
         self.drain.store(true, Ordering::SeqCst);
+        self.fs.wake_log_readers(REDO_LOG_NAME);
         let (inflight, position) = self.join().ok_or_else(|| {
             Error::Replication("replication reader already stopped or panicked".into())
         })??;
@@ -653,6 +660,35 @@ mod tests {
         // Column store holds only the committed prefix.
         let idx = store.index(imci_common::TableId(1)).unwrap();
         assert!(idx.snapshot().get_by_pk(100).is_none());
+    }
+
+    #[test]
+    fn drain_and_stop_wake_an_idle_reader() {
+        // A caught-up reader parks in `wait_for_growth` for a whole
+        // `poll_interval`; raising either flag must wake it at once.
+        let (fs, rw) = setup();
+        let cfg = ReplicationConfig {
+            poll_interval: Duration::from_secs(10),
+            ..ReplicationConfig::default()
+        };
+        for drain in [true, false] {
+            let (pipe, _store) = start_ro(&fs, cfg.clone());
+            let target = rw.log().unwrap().written_lsn().get();
+            assert!(pipe.wait_applied(target, Duration::from_secs(20)));
+            // Let the reader finish its read and park on the idle log.
+            std::thread::sleep(Duration::from_millis(50));
+            let t0 = std::time::Instant::now();
+            if drain {
+                pipe.stop_after_drain().unwrap();
+            } else {
+                pipe.stop();
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "drain={drain}: the reader slept {:?}",
+                t0.elapsed()
+            );
+        }
     }
 
     #[test]
