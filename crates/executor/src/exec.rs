@@ -1,27 +1,39 @@
 //! Batch-mode execution of physical plans (paper §6.3), morsel-driven
-//! (§6.2).
+//! (§6.2; Leis et al., SIGMOD 2014).
 //!
-//! The plan tree is decomposed into pipelines at blocking operators
-//! (join build, aggregation, sort). Scans split into per-rowgroup
-//! *morsels* — each pinning its visibility [`SelVec`] at dispatch time
-//! and running the compressed-domain kernels + late materialization
-//! independently on the shared [`crate::morsel::WorkerPool`] — and the
-//! blocking operators merge per-morsel partial results: partial hash
-//! aggregation with a final combine, a hash-partitioned join build with
-//! parallel probe, and per-morsel top-K with a final merge. Every
-//! parallel path produces bit-identical output to the serial path
-//! (`ExecContext::parallelism == 1`), which stays as the ablation
-//! baseline; the `parallel_equiv` proptest oracle enforces this.
-//! Pack min/max metadata prunes groups before any data is touched.
+//! A plan runs as *pipelines*, cut at its breakers: a join's build side,
+//! `HashAgg`, `Sort`, and `Limit` (first-n needs every morsel's rows in
+//! order). A pipeline is one source, a list of per-batch steps and one
+//! sink:
+//!
+//! * source — a `ColumnScan`'s pinned row groups, one morsel each, or a
+//!   breaker's finished output, one morsel;
+//! * steps — `Filter`, `Project`, and the probe of a finished join
+//!   table, one per join of a left-deep chain;
+//! * sink — collect (the root, or a join's build side), a partial
+//!   aggregate, a per-morsel top-K, or a per-morsel limit.
+//!
+//! Each morsel runs source → steps → sink on one worker of the shared
+//! [`crate::morsel::WorkerPool`], and only the sink's partial outlives
+//! it. Partials combine in morsel order on the orchestrator (the
+//! `execute` caller), at every `ExecContext::parallelism`, so the output
+//! is a function of the data and the morsel order alone — the
+//! `parallel_equiv` proptest oracle holds serial and parallel runs to
+//! the same bits. Every breaker below a pipeline, build sides included,
+//! runs to completion from the orchestrator before the pipeline is
+//! dispatched, so a pool job never dispatches morsels itself.
+//!
+//! Scans pin each row group's visibility [`SelVec`] at dispatch time,
+//! after pack min/max pruning, and run the compressed-domain kernels and
+//! late materialization inside the morsel. A probe gathers only the
+//! join-output columns the later steps of its pipeline read; the
+//! pipeline builder remaps those steps onto the narrow batch.
 //!
 //! Hash aggregation groups on typed keys: a single `Int` key column maps
 //! rows to dense group ids without building a `Value` per row, and
 //! COUNT, SUM and AVG over `Int`/`Double` columns update from the typed
 //! slices (the `Vec<Value>` key and [`Acc::update`] remain the fallback
-//! for Str or several keys, MIN/MAX and DISTINCT). A `HashAgg` whose input is a
-//! `HashJoin` aggregates through the join: each probe batch's matches
-//! are gathered for the aggregate's columns only, folded and dropped,
-//! so the join output is never materialized.
+//! for Str or several keys, MIN/MAX and DISTINCT).
 
 use crate::batch::Batch;
 use crate::expr::Expr;
@@ -43,8 +55,8 @@ pub struct ExecContext {
     /// Per-query cap on morsels in flight. The worker pool itself is
     /// process-global and machine-sized; this knob bounds how much of
     /// it one query may occupy. The default leaves one core to the
-    /// write path (REDO apply, commits). `1` disables parallel dispatch
-    /// and is the serial ablation baseline.
+    /// write path (REDO apply, commits). `1` runs every morsel inline
+    /// on the caller; results are the same at every value.
     pub parallelism: usize,
     /// Min/max pack pruning (ablation switch).
     pub prune_enabled: bool,
@@ -77,11 +89,6 @@ impl ExecContext {
             .get(&table)
             .ok_or_else(|| Error::Execution(format!("no snapshot for table {table}")))
     }
-
-    /// Morsel concurrency for a stage with `units` independent units.
-    fn par(&self, units: usize) -> usize {
-        self.parallelism.clamp(1, units.max(1))
-    }
 }
 
 /// Per-operator runtime counters reported by `EXPLAIN ANALYZE`.
@@ -92,9 +99,9 @@ impl ExecContext {
 pub struct ExecStats {
     /// Rows each operator produced.
     pub rows: Vec<u64>,
-    /// Morsels per operator: scans count their pinned row groups (the
-    /// units the scan decomposes into); blocking operators count the
-    /// partial-work units they dispatched to the pool.
+    /// Morsels per operator: the morsels of the pipeline the operator
+    /// runs in — a scan's pinned row groups, or one for a breaker's
+    /// output — and, for a breaker, of the pipeline it ends.
     pub morsels: Vec<u64>,
     /// Wall-clock of the whole execution.
     pub wall: Duration,
@@ -107,176 +114,432 @@ impl ExecStats {
     }
 }
 
-/// Mutable counters threaded through execution. Atomics so the cell
-/// can be shared by reference through the recursion without borrow
-/// gymnastics; only the orchestrator thread updates it.
+/// Counters shared by every morsel of one execution. Atomics, because
+/// pool workers bump them from the morsels they run.
 struct StatsCell {
     rows: Vec<AtomicU64>,
     morsels: Vec<AtomicU64>,
 }
 
-impl StatsCell {
-    fn new(ops: usize) -> StatsCell {
-        StatsCell {
-            rows: (0..ops).map(|_| AtomicU64::new(0)).collect(),
-            morsels: (0..ops).map(|_| AtomicU64::new(0)).collect(),
+/// The execution's counters, or none when nobody reads them.
+#[derive(Clone)]
+struct Stats(Option<Arc<StatsCell>>);
+
+fn bump(counters: &[AtomicU64], op: usize, n: usize) {
+    if let Some(c) = counters.get(op) {
+        c.fetch_add(n as u64, Ordering::Relaxed);
+    }
+}
+
+impl Stats {
+    fn rows(&self, op: usize, n: usize) {
+        if let Some(s) = &self.0 {
+            bump(&s.rows, op, n);
         }
     }
 
-    fn add_rows(&self, op: usize, n: u64) {
-        if let Some(c) = self.rows.get(op) {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    fn add_morsels(&self, op: usize, n: u64) {
-        if let Some(c) = self.morsels.get(op) {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    fn finish(self, wall: Duration) -> ExecStats {
-        ExecStats {
-            rows: self.rows.into_iter().map(|a| a.into_inner()).collect(),
-            morsels: self.morsels.into_iter().map(|a| a.into_inner()).collect(),
-            wall,
+    fn morsels(&self, op: usize, n: usize) {
+        if let Some(s) = &self.0 {
+            bump(&s.morsels, op, n);
         }
     }
 }
 
 /// Execute a plan to a fully-materialized result batch.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch> {
-    let batches = exec_stream(plan, ctx)?;
-    Batch::concat(&batches)
-}
-
-/// Execute returning per-pipeline batches (avoids the final concat for
-/// consumers that stream).
-pub fn exec_stream(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Batch>> {
-    exec_node(plan, ctx, 0, None)
+    run_plan(plan, ctx, 0, &Stats(None))
 }
 
 /// Execute to a materialized batch, collecting the per-operator
 /// counters `EXPLAIN ANALYZE` reports.
 pub fn execute_with_stats(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<(Batch, ExecStats)> {
     let t0 = Instant::now();
-    let cell = StatsCell::new(plan.op_count());
-    let out = Batch::concat(&exec_node(plan, ctx, 0, Some(&cell))?)?;
-    Ok((out, cell.finish(t0.elapsed())))
+    let counters = || (0..plan.op_count()).map(|_| AtomicU64::new(0)).collect();
+    let cell = Arc::new(StatsCell {
+        rows: counters(),
+        morsels: counters(),
+    });
+    let out = run_plan(plan, ctx, 0, &Stats(Some(cell.clone())))?;
+    // Every morsel has finished; a worker may still hold its clone of
+    // the cell for a moment, so read the counters rather than unwrap.
+    let read = |c: &[AtomicU64]| c.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+    let stats = ExecStats {
+        rows: read(&cell.rows),
+        morsels: read(&cell.morsels),
+        wall: t0.elapsed(),
+    };
+    Ok((out, stats))
 }
 
-/// One operator. `op` is the node's pre-order id (children of a node at
-/// `op` start at `op + 1`; a join's build side starts after the whole
-/// probe subtree).
-fn exec_node(
+/// Run `plan` (pre-order id `op`) to one batch, on the orchestrator: a
+/// breaker is the sink of the pipeline below it and combines that
+/// pipeline's partials in morsel order; any other operator ends a
+/// collecting pipeline. Children of a node at `op` start at `op + 1`; a
+/// join's build side starts after its whole probe subtree.
+fn run_plan(plan: &PhysicalPlan, ctx: &ExecContext, op: usize, stats: &Stats) -> Result<Batch> {
+    let out = match plan {
+        PhysicalPlan::HashAgg {
+            input,
+            group_by,
+            aggs,
+        } => {
+            let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+            let need = plus_refs(Vec::new(), group_by.iter().chain(args));
+            let (pipe, layout) = Pipeline::compile(input, ctx, op + 1, Some(need), stats)?;
+            let keys: Vec<Expr> = group_by.iter().map(|e| remap(&layout, e)).collect();
+            let calls: Vec<AggCall> = aggs
+                .iter()
+                .map(|a| AggCall {
+                    arg: a.arg.as_ref().map(|e| remap(&layout, e)),
+                    ..a.clone()
+                })
+                .collect();
+            let partials = pipe.run(ctx, Some(op), move |b| {
+                let mut state = AggState::new(keys.len());
+                state.fold(&b, &keys, &calls)?;
+                Ok(state)
+            })?;
+            let mut state = AggState::new(group_by.len());
+            for p in partials {
+                state.merge(p, aggs);
+            }
+            state.into_batch(group_by, aggs)?
+        }
+        PhysicalPlan::Sort { input, keys, limit } => {
+            // Top-K: each morsel keeps its own k best rows, in row order.
+            // The global top-k under the (keys, position) order is in
+            // the union of these, and since the survivors keep their
+            // order the union is order-isomorphic to the whole input —
+            // so the final sort picks exactly the rows, in exactly the
+            // order, a sort of the whole input would.
+            let (pipe, _) = Pipeline::compile(input, ctx, op + 1, None, stats)?;
+            let (k_keys, limit) = (keys.clone(), *limit);
+            let kept = pipe.run(ctx, Some(op), move |b| match limit {
+                Some(k) if b.len > k => b.gather(&sort_rows(&b, &k_keys, limit, true)),
+                _ => Ok(b.into_owned()),
+            })?;
+            let all = Batch::concat(&kept)?;
+            all.gather(&sort_rows(&all, keys, limit, false))?
+        }
+        PhysicalPlan::Limit { input, n } => {
+            let (pipe, _) = Pipeline::compile(input, ctx, op + 1, None, stats)?;
+            let n = *n;
+            let first = pipe.run(ctx, Some(op), move |b| {
+                let mut b = b.into_owned();
+                b.truncate(n);
+                Ok(b)
+            })?;
+            let mut out = Batch::concat(&first)?;
+            out.truncate(n);
+            out
+        }
+        _ => {
+            // Not a breaker: the operator is its pipeline's last step
+            // and counts its own rows.
+            let (pipe, _) = Pipeline::compile(plan, ctx, op, None, stats)?;
+            return Batch::concat(&pipe.run(ctx, None, |b| Ok(b.into_owned()))?);
+        }
+    };
+    stats.rows(op, out.len);
+    Ok(out)
+}
+
+/// Where a pipeline's logical columns sit in its batches: `None` when
+/// every column is there, in order; else the columns present,
+/// ascending, each at its index in the list.
+type Layout = Option<Vec<usize>>;
+
+/// Physical position of logical column `c` under `layout`.
+fn pos(layout: &Layout, c: usize) -> usize {
+    match layout {
+        None => c,
+        Some(cols) => cols.binary_search(&c).unwrap_or(0),
+    }
+}
+
+/// `e` with its column references moved to their positions under
+/// `layout`.
+fn remap(layout: &Layout, e: &Expr) -> Expr {
+    match layout {
+        None => e.clone(),
+        Some(_) => e.remap(&|c| pos(layout, c)),
+    }
+}
+
+/// `cols` plus every column `exprs` reference, ascending, once each.
+fn plus_refs<'a>(mut cols: Vec<usize>, exprs: impl IntoIterator<Item = &'a Expr>) -> Vec<usize> {
+    for e in exprs {
+        e.referenced_cols(&mut cols);
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
+/// Columns `plan` outputs.
+fn width(plan: &PhysicalPlan) -> usize {
+    match plan {
+        PhysicalPlan::ColumnScan { cols, .. } => cols.len(),
+        PhysicalPlan::Project { exprs, .. } => exprs.len(),
+        PhysicalPlan::HashAgg { group_by, aggs, .. } => group_by.len() + aggs.len(),
+        PhysicalPlan::HashJoin { left, right, .. } => width(left) + width(right),
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Limit { input, .. } => width(input),
+    }
+}
+
+fn panicked() -> Error {
+    Error::Execution("morsel worker panicked".into())
+}
+
+/// Where a pipeline's morsels come from.
+enum Source {
+    /// A scan's pinned row groups, one morsel each.
+    Scan {
+        op: usize,
+        groups: Vec<PinnedGroup>,
+        cols: Vec<usize>,
+        filter: Option<Expr>,
+    },
+    /// A breaker's finished output: one morsel, none when empty.
+    Batch(Batch),
+}
+
+/// One per-batch operator of a pipeline, its expressions already
+/// remapped onto the pipeline's layout.
+enum Step {
+    Filter(Expr),
+    Project(Vec<Expr>),
+    /// Probe a finished join table on `keys` and gather the join-output
+    /// columns `cols` (the probe batch's columns first, then the build
+    /// side's, as [`gather_joined`] numbers them).
+    Probe {
+        keys: Vec<usize>,
+        table: Arc<JoinTable>,
+        cols: Vec<usize>,
+    },
+}
+
+impl Step {
+    /// The step's output for `b`; `None` once no row is left.
+    fn apply(&self, b: &Batch, late_materialization: bool) -> Result<Option<Batch>> {
+        let out = match self {
+            Step::Filter(pred) => {
+                // Selection-vector path: typed kernels (dictionary-aware
+                // for strings) straight to one gather per column.
+                let views = kernels::batch_views(b);
+                if late_materialization && kernels::compressible(pred, &views) {
+                    b.take(&kernels::eval_sel(pred, &views, SelVec::identity(b.len))?)
+                } else {
+                    b.filter(&pred.eval_mask(b)?)?
+                }
+            }
+            Step::Project(exprs) => Batch {
+                cols: exprs.iter().map(|e| e.eval(b)).collect::<Result<_>>()?,
+                len: b.len,
+            },
+            Step::Probe { keys, table, cols } => {
+                let (lidx, ridx) = probe_pairs(b, keys, table);
+                // Stop before the gather: an empty build side may have no
+                // columns at all.
+                if lidx.is_empty() {
+                    return Ok(None);
+                }
+                gather_joined(b, &table.build, &lidx, &ridx, cols)
+            }
+        };
+        Ok((out.len > 0).then_some(out))
+    }
+}
+
+/// One pipeline, ready to dispatch: its source, its steps bottom-up
+/// with their operator ids, and the counters its morsels bump.
+struct Pipeline {
+    source: Source,
+    steps: Vec<(usize, Step)>,
+    late_materialization: bool,
+    stats: Stats,
+}
+
+impl Pipeline {
+    /// The pipeline that ends at `plan` (pre-order id `op`), of which
+    /// the sink reads the output columns `need` (`None`: all). Every
+    /// breaker below it runs first, on this thread. Returns the
+    /// pipeline and its output layout.
+    fn compile(
+        plan: &PhysicalPlan,
+        ctx: &ExecContext,
+        op: usize,
+        need: Option<Vec<usize>>,
+        stats: &Stats,
+    ) -> Result<(Pipeline, Layout)> {
+        let mut steps = Vec::new();
+        let (source, layout) = lower(plan, ctx, op, need, stats, &mut steps)?;
+        let pipe = Pipeline {
+            source,
+            steps,
+            late_materialization: ctx.late_materialization,
+            stats: stats.clone(),
+        };
+        Ok((pipe, layout))
+    }
+
+    /// Run every morsel through the source, the steps and `sink` (the
+    /// breaker `sink_op`, if any), on the pool, and return the sink's
+    /// results in morsel order. A morsel with no rows left before the
+    /// sink yields none.
+    fn run<T: Send + 'static>(
+        self,
+        ctx: &ExecContext,
+        sink_op: Option<usize>,
+        sink: impl Fn(Cow<Batch>) -> Result<T> + Send + Sync + 'static,
+    ) -> Result<Vec<T>> {
+        let (n, scan_op) = match &self.source {
+            Source::Scan { op, groups, .. } => (groups.len(), Some(*op)),
+            Source::Batch(b) => (usize::from(b.len > 0), None),
+        };
+        let ops = scan_op.iter().chain(self.steps.iter().map(|(op, _)| op));
+        for &op in ops.chain(sink_op.iter()) {
+            self.stats.morsels(op, n);
+        }
+        let pipe = Arc::new(self);
+        let mut out = Vec::with_capacity(n);
+        for r in morsel::run_morsels(ctx.parallelism, n, move |i| {
+            pipe.morsel(i)?.map(&sink).transpose()
+        }) {
+            if let Some(t) = r.ok_or_else(panicked)?? {
+                out.push(t);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Morsel `i` through the source and every step; `None` once no
+    /// row is left.
+    fn morsel(&self, i: usize) -> Result<Option<Cow<'_, Batch>>> {
+        let mut b = match &self.source {
+            Source::Scan {
+                op,
+                groups,
+                cols,
+                filter,
+            } => match scan_group(&groups[i], cols, filter.as_ref(), self.late_materialization)? {
+                Some(b) if b.len > 0 => {
+                    self.stats.rows(*op, b.len);
+                    Cow::Owned(b)
+                }
+                _ => return Ok(None),
+            },
+            Source::Batch(b) => Cow::Borrowed(b),
+        };
+        for (op, step) in &self.steps {
+            match step.apply(&b, self.late_materialization)? {
+                Some(out) => {
+                    self.stats.rows(*op, out.len);
+                    b = Cow::Owned(out);
+                }
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(b))
+    }
+}
+
+/// Lower `plan` (pre-order id `op`) into `steps`, bottom-up, when later
+/// steps read its output columns `need` (`None`: all); returns the
+/// pipeline's source and `plan`'s output layout. A join's build side
+/// and any breaker run to completion here, on the orchestrator.
+fn lower(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
     op: usize,
-    stats: Option<&StatsCell>,
-) -> Result<Vec<Batch>> {
-    let out = match plan {
+    need: Option<Vec<usize>>,
+    stats: &Stats,
+    steps: &mut Vec<(usize, Step)>,
+) -> Result<(Source, Layout)> {
+    Ok(match plan {
         PhysicalPlan::ColumnScan {
             table,
             cols,
             prune,
             filter,
-        } => scan(ctx, *table, cols, prune, filter.as_ref(), op, stats)?,
+        } => {
+            let source = Source::Scan {
+                op,
+                groups: pin_groups(ctx, *table, prune)?,
+                cols: cols.clone(),
+                filter: filter.clone(),
+            };
+            (source, None)
+        }
         PhysicalPlan::Filter { input, pred } => {
-            let mut out = Vec::new();
-            for b in exec_node(input, ctx, op + 1, stats)? {
-                // Selection-vector path: typed kernels (dictionary-aware
-                // for strings) straight to one gather per column.
-                let views = kernels::batch_views(&b);
-                let f = if ctx.late_materialization && kernels::compressible(pred, &views) {
-                    let sel = kernels::eval_sel(pred, &views, SelVec::identity(b.len))?;
-                    b.take(&sel)
-                } else {
-                    let mask = pred.eval_mask(&b)?;
-                    b.filter(&mask)?
-                };
-                if f.len > 0 {
-                    out.push(f);
-                }
-            }
-            out
+            let need = need.map(|n| plus_refs(n, [pred]));
+            let (source, layout) = lower(input, ctx, op + 1, need, stats, steps)?;
+            steps.push((op, Step::Filter(remap(&layout, pred))));
+            (source, layout)
         }
         PhysicalPlan::Project { input, exprs } => {
-            let mut out = Vec::new();
-            for b in exec_node(input, ctx, op + 1, stats)? {
-                let cols = exprs
-                    .iter()
-                    .map(|e| e.eval(&b))
-                    .collect::<Result<Vec<ColumnData>>>()?;
-                out.push(Batch { cols, len: b.len });
-            }
-            out
+            // Only the expressions read later are evaluated.
+            let keep: Vec<&Expr> = match &need {
+                None => exprs.iter().collect(),
+                Some(n) => n.iter().filter_map(|&i| exprs.get(i)).collect(),
+            };
+            let in_need = plus_refs(Vec::new(), keep.iter().copied());
+            let (source, layout) = lower(input, ctx, op + 1, Some(in_need), stats, steps)?;
+            let exprs = keep.into_iter().map(|e| remap(&layout, e)).collect();
+            steps.push((op, Step::Project(exprs)));
+            (source, need)
         }
         PhysicalPlan::HashJoin {
             left,
             right,
             left_keys,
             right_keys,
-        } => hash_join(ctx, left, right, left_keys, right_keys, op, stats)?,
-        PhysicalPlan::HashAgg {
-            input,
-            group_by,
-            aggs,
-        } => vec![hash_agg(ctx, input, group_by, aggs, op, stats)?],
-        PhysicalPlan::Sort { input, keys, limit } => {
-            vec![sort(ctx, input, keys, *limit, op, stats)?]
+        } => {
+            let build = run_plan(right, ctx, op + 1 + left.op_count(), stats)?;
+            // Each partition builder scans the key column once, so very
+            // wide fan-out buys nothing.
+            let table = Arc::new(build_join_table(
+                build,
+                right_keys,
+                ctx.parallelism.clamp(1, 8),
+            )?);
+            let lw = width(left);
+            let left_need = need.as_ref().map(|n| {
+                let probe_cols = n.iter().copied().filter(|&c| c < lw);
+                plus_refs(probe_cols.chain(left_keys.iter().copied()).collect(), [])
+            });
+            let (source, layout) = lower(left, ctx, op + 1, left_need, stats, steps)?;
+            let probe_width = layout.as_ref().map_or(lw, Vec::len);
+            let cols = match &need {
+                None => (0..probe_width + width(right)).collect(),
+                Some(n) => n
+                    .iter()
+                    .map(|&c| match c.checked_sub(lw) {
+                        None => pos(&layout, c),
+                        Some(bc) => probe_width + bc,
+                    })
+                    .collect(),
+            };
+            let keys = left_keys.iter().map(|&k| pos(&layout, k)).collect();
+            steps.push((op, Step::Probe { keys, table, cols }));
+            (source, need)
         }
-        PhysicalPlan::Limit { input, n } => {
-            let mut out = Vec::new();
-            let mut remaining = *n;
-            for b in exec_node(input, ctx, op + 1, stats)? {
-                if remaining == 0 {
-                    break;
-                }
-                if b.len <= remaining {
-                    remaining -= b.len;
-                    out.push(b);
-                } else {
-                    let mut b = b;
-                    b.truncate(remaining);
-                    out.push(b);
-                    remaining = 0;
-                }
-            }
-            out
+        PhysicalPlan::HashAgg { .. } | PhysicalPlan::Sort { .. } | PhysicalPlan::Limit { .. } => {
+            (Source::Batch(run_plan(plan, ctx, op, stats)?), None)
         }
-    };
-    if let Some(s) = stats {
-        s.add_rows(op, out.iter().map(|b| b.len as u64).sum());
-    }
-    Ok(out)
+    })
 }
 
-/// Everything one scan morsel needs besides its [`PinnedGroup`] —
-/// shared across morsels via one `Arc`, so a morsel job is `'static`
-/// without copying the filter per group.
-struct ScanParams {
-    cols: Vec<usize>,
-    filter: Option<Expr>,
-    late_materialization: bool,
-}
-
-fn scan(
-    ctx: &ExecContext,
-    table: TableId,
-    cols: &[usize],
-    prune: &[PruneRange],
-    filter: Option<&Expr>,
-    op: usize,
-    stats: Option<&StatsCell>,
-) -> Result<Vec<Batch>> {
+/// A scan's morsels, on the orchestrator: pack pruning first (metadata
+/// only — skip the whole group if any constrained column's min/max range
+/// proves no row can match; sealed groups only, the partial group has no
+/// sealed metadata), then the snapshot pins each survivor's visibility
+/// SelVec. Workers receive finished morsels and never touch MVCC state.
+fn pin_groups(ctx: &ExecContext, table: TableId, prune: &[PruneRange]) -> Result<Vec<PinnedGroup>> {
     let snap = ctx.snapshot(table)?;
-    // Morsel creation, on the orchestrator: pack pruning first
-    // (metadata only — skip the whole group if any constrained column's
-    // min/max range proves no row can match; sealed groups only, the
-    // partial group has no sealed metadata), then the snapshot pins
-    // each survivor's visibility SelVec. Workers receive finished
-    // morsels and never touch MVCC state.
-    let mut pinned: Vec<PinnedGroup> = Vec::new();
+    let mut pinned = Vec::new();
     'groups: for group in snap.groups() {
         if ctx.prune_enabled && group.is_sealed() {
             for pr in prune {
@@ -291,62 +554,24 @@ fn scan(
             pinned.push(p);
         }
     }
-    if let Some(s) = stats {
-        s.add_morsels(op, pinned.len() as u64);
-    }
-    if pinned.is_empty() {
-        return Ok(Vec::new());
-    }
-    let params = ScanParams {
-        cols: cols.to_vec(),
-        filter: filter.cloned(),
-        late_materialization: ctx.late_materialization,
-    };
-    let par = ctx.par(pinned.len());
-    if par == 1 {
-        let mut out = Vec::new();
-        for p in &pinned {
-            if let Some(b) = scan_group(p, &params)? {
-                if b.len > 0 {
-                    out.push(b);
-                }
-            }
-        }
-        return Ok(out);
-    }
-    let n = pinned.len();
-    let shared = Arc::new((pinned, params));
-    collect_morsels(morsel::run_morsels(par, n, move |i| {
-        scan_group(&shared.0[i], &shared.1)
-    }))
+    Ok(pinned)
 }
 
-/// Flatten ordered morsel results: a missing slot (worker panic)
-/// becomes an execution error, empty batches are dropped, order is the
-/// morsel order.
-fn collect_morsels(results: Vec<Option<Result<Option<Batch>>>>) -> Result<Vec<Batch>> {
-    let mut out = Vec::new();
-    for r in results {
-        match r {
-            None => return Err(Error::Execution("morsel worker panicked".into())),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(Some(b))) if b.len > 0 => out.push(b),
-            Some(Ok(_)) => {}
-        }
-    }
-    Ok(out)
-}
-
-fn scan_group(p: &PinnedGroup, params: &ScanParams) -> Result<Option<Batch>> {
+fn scan_group(
+    p: &PinnedGroup,
+    cols: &[usize],
+    filter: Option<&Expr>,
+    late_materialization: bool,
+) -> Result<Option<Batch>> {
     let group = &p.group;
-    let reads: Vec<ColumnRead> = params.cols.iter().map(|&c| group.read_column(c)).collect();
-    if !params.late_materialization {
-        return scan_group_early_mat(&reads, &p.visible, params.filter.as_ref());
+    let reads: Vec<ColumnRead> = cols.iter().map(|&c| group.read_column(c)).collect();
+    if !late_materialization {
+        return scan_group_early_mat(&reads, &p.visible, filter);
     }
     // Late materialization: refine the pinned visibility selection with
     // the predicate kernels over the *compressed* packs, then gather
     // every requested column exactly once, at the surviving offsets.
-    let sel = match &params.filter {
+    let sel = match filter {
         None => p.visible.clone(),
         Some(f) => {
             let views: Vec<ColView> = reads.iter().map(ColView::of).collect();
@@ -357,16 +582,12 @@ fn scan_group(p: &PinnedGroup, params: &ScanParams) -> Result<Option<Batch>> {
                 // compares): materialize only the filter's columns at
                 // the visible offsets, mask, and still late-gather the
                 // full payload.
-                let mut refs = Vec::new();
-                f.referenced_cols(&mut refs);
-                refs.sort_unstable();
-                refs.dedup();
+                let refs = plus_refs(Vec::new(), [f]);
                 let sub = Batch {
                     cols: refs.iter().map(|&j| reads[j].gather(&p.visible)).collect(),
                     len: p.visible.len(),
                 };
-                let remapped = f.remap(&|j| refs.binary_search(&j).unwrap_or(0));
-                let mask = remapped.eval_mask(&sub)?;
+                let mask = remap(&Some(refs), f).eval_mask(&sub)?;
                 let kept: Vec<u32> = p
                     .visible
                     .iter()
@@ -425,11 +646,10 @@ fn gen_part(key: &[Value], parts: usize) -> usize {
     (FxBuildHasher::default().hash_one(key) >> 32) as usize % parts
 }
 
-/// The build side of a hash join: the materialized build batch plus
-/// hash-partitioned key maps (one partition when built serially).
-/// Values are build-row indices in ascending build order — the
-/// output-ordering contract of [`PhysicalPlan::HashJoin`] depends on
-/// this.
+/// The key maps of a hash join's build side, hash-partitioned (one
+/// partition at `parallelism` 1). Values are build-row indices in
+/// ascending build order — the output-ordering contract of
+/// [`PhysicalPlan::HashJoin`] depends on this.
 enum JoinKeys {
     /// Single integer key fast path (all PK/FK joins).
     Int(Vec<FxHashMap<i64, Vec<u32>>>),
@@ -443,15 +663,11 @@ struct JoinTable {
 }
 
 fn build_join_table(build: Batch, right_keys: &[usize], parts: usize) -> Result<JoinTable> {
-    let int_key = right_keys.len() == 1
-        && matches!(build.cols.get(right_keys[0]), Some(ColumnData::Int { .. }));
     let build = Arc::new(build);
-    if int_key {
-        let rk = right_keys[0];
-        let build_part = {
-            let b = build.clone();
-            move |w: usize| {
-                let mut m: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
+    let b = build.clone();
+    let keys = match right_keys {
+        &[rk] if matches!(build.cols.get(rk), Some(ColumnData::Int { .. })) => {
+            JoinKeys::Int(key_maps(parts, move |w, m| {
                 if let ColumnData::Int { vals, nulls } = &b.cols[rk] {
                     for r in 0..b.len {
                         if !nulls[r] && int_part(vals[r], parts) == w {
@@ -459,53 +675,38 @@ fn build_join_table(build: Batch, right_keys: &[usize], parts: usize) -> Result<
                         }
                     }
                 }
-                m
-            }
-        };
-        let maps = if parts == 1 {
-            vec![Some(build_part(0))]
-        } else {
-            morsel::run_morsels(parts, parts, build_part)
-        };
-        let maps = maps
-            .into_iter()
-            .map(|m| m.ok_or_else(|| Error::Execution("morsel worker panicked".into())))
-            .collect::<Result<Vec<_>>>()?;
-        return Ok(JoinTable {
-            build,
-            keys: JoinKeys::Int(maps),
-        });
-    }
-    let rks = Arc::new(right_keys.to_vec());
-    let build_part = {
-        let b = build.clone();
-        move |w: usize| {
-            let mut m: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-            for r in 0..b.len {
-                let key: Vec<Value> = rks.iter().map(|&k| b.cols[k].get(r)).collect();
-                if key.iter().any(|v| v.is_null()) {
-                    continue; // SQL: NULL keys never join
+            })?)
+        }
+        _ => {
+            let rks = right_keys.to_vec();
+            JoinKeys::Gen(key_maps(parts, move |w, m| {
+                for r in 0..b.len {
+                    let key: Vec<Value> = rks.iter().map(|&k| b.cols[k].get(r)).collect();
+                    // SQL: NULL keys never join.
+                    if !key.iter().any(|v| v.is_null()) && gen_part(&key, parts) == w {
+                        m.entry(key).or_default().push(r as u32);
+                    }
                 }
-                if gen_part(&key, parts) == w {
-                    m.entry(key).or_default().push(r as u32);
-                }
-            }
-            m
+            })?)
         }
     };
-    let maps = if parts == 1 {
-        vec![Some(build_part(0))]
-    } else {
-        morsel::run_morsels(parts, parts, build_part)
-    };
-    let maps = maps
-        .into_iter()
-        .map(|m| m.ok_or_else(|| Error::Execution("morsel worker panicked".into())))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(JoinTable {
-        build,
-        keys: JoinKeys::Gen(maps),
+    Ok(JoinTable { build, keys })
+}
+
+/// One key map per partition, `fill(w, map)` filling partition `w`; the
+/// partitions build on the pool.
+fn key_maps<K: Send + 'static>(
+    parts: usize,
+    fill: impl Fn(usize, &mut FxHashMap<K, Vec<u32>>) + Send + Sync + 'static,
+) -> Result<Vec<FxHashMap<K, Vec<u32>>>> {
+    morsel::run_morsels(parts, parts, move |w| {
+        let mut m = FxHashMap::default();
+        fill(w, &mut m);
+        m
     })
+    .into_iter()
+    .map(|m| m.ok_or_else(panicked))
+    .collect()
 }
 
 /// Probe one batch against the build table. Returns the (probe, build)
@@ -563,9 +764,8 @@ fn probe_pairs(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> (Vec<u32>, Ve
     (lidx, ridx)
 }
 
-/// Gather the join-output columns `cols` — numbered as
-/// [`PhysicalPlan::HashJoin`] numbers them, probe columns first — at
-/// the match pairs.
+/// Gather the join-output columns `cols` — `lb`'s columns first, then
+/// `build`'s at `lb.width() + i` — at the match pairs.
 fn gather_joined(lb: &Batch, build: &Batch, lidx: &[u32], ridx: &[u32], cols: &[usize]) -> Batch {
     let lw = lb.width();
     Batch {
@@ -580,81 +780,6 @@ fn gather_joined(lb: &Batch, build: &Batch, lidx: &[u32], ridx: &[u32], cols: &[
     }
 }
 
-/// One probe batch's full join output (`None` when nothing matched).
-fn probe_batch(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> Option<Batch> {
-    let (lidx, ridx) = probe_pairs(lb, left_keys, jt);
-    if lidx.is_empty() {
-        return None;
-    }
-    let all: Vec<usize> = (0..lb.width() + jt.build.width()).collect();
-    Some(gather_joined(lb, &jt.build, &lidx, &ridx, &all))
-}
-
-/// A hash join's blocking build phase, then its probe input: the build
-/// side is materialized and its key maps built — hash-partitioned
-/// across the pool when the context allows (capped: each partition
-/// builder scans the key column once, so very wide fan-out buys
-/// nothing) — and the probe side runs to its batches.
-fn join_inputs(
-    ctx: &ExecContext,
-    left: &PhysicalPlan,
-    right: &PhysicalPlan,
-    right_keys: &[usize],
-    op: usize,
-    stats: Option<&StatsCell>,
-) -> Result<(Arc<JoinTable>, Vec<Batch>)> {
-    // Pre-order ids: probe subtree first, then the build subtree.
-    let right_op = op + 1 + left.op_count();
-    let build = Batch::concat(&exec_node(right, ctx, right_op, stats)?)?;
-    let parts = ctx.parallelism.clamp(1, 8);
-    if parts > 1 {
-        if let Some(s) = stats {
-            s.add_morsels(op, parts as u64);
-        }
-    }
-    let jt = Arc::new(build_join_table(build, right_keys, parts)?);
-    let lbs = exec_node(left, ctx, op + 1, stats)?;
-    Ok((jt, lbs))
-}
-
-fn hash_join(
-    ctx: &ExecContext,
-    left: &PhysicalPlan,
-    right: &PhysicalPlan,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    op: usize,
-    stats: Option<&StatsCell>,
-) -> Result<Vec<Batch>> {
-    let (jt, lbs) = join_inputs(ctx, left, right, right_keys, op, stats)?;
-    // Probe phase: each probe batch is one morsel; results are gathered
-    // in batch order, preserving the serial output order exactly.
-    let par = ctx.par(lbs.len());
-    if par == 1 {
-        return Ok(lbs
-            .iter()
-            .filter_map(|lb| probe_batch(lb, left_keys, &jt))
-            .collect());
-    }
-    if let Some(s) = stats {
-        s.add_morsels(op, lbs.len() as u64);
-    }
-    let n = lbs.len();
-    let shared = Arc::new((lbs, left_keys.to_vec(), jt));
-    let results = morsel::run_morsels(par, n, move |i| {
-        probe_batch(&shared.0[i], &shared.1, &shared.2)
-    });
-    let mut out = Vec::new();
-    for r in results {
-        match r {
-            None => return Err(Error::Execution("morsel worker panicked".into())),
-            Some(Some(b)) => out.push(b),
-            Some(None) => {}
-        }
-    }
-    Ok(out)
-}
-
 /// One aggregate's running state — shared by the column engine's
 /// (partial) hash aggregation and the row engine's group-by.
 pub enum Acc {
@@ -665,7 +790,9 @@ pub enum Acc {
         sum: f64,
         any: bool,
         int: bool,
-        isum: i64,
+        /// Exact while every input is an `Int`; checked against `i64`
+        /// when the result is read.
+        isum: i128,
     },
     Avg {
         sum: f64,
@@ -731,7 +858,7 @@ impl Acc {
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Sum { sum, any, isum, .. } => {
-                *isum += v;
+                *isum += i128::from(v);
                 *sum += v as f64;
                 *any = true;
             }
@@ -803,9 +930,10 @@ impl Acc {
         }
     }
 
-    /// The aggregate's result.
-    pub fn finish(self) -> Value {
-        match self {
+    /// The aggregate's result: an execution error when an integer SUM
+    /// leaves the `i64` range.
+    pub fn finish(self) -> Result<Value> {
+        Ok(match self {
             Acc::CountStar(n) | Acc::Count(n) => Value::Int(n as i64),
             Acc::CountDistinct(set) => Value::Int(set.len() as i64),
             Acc::Sum {
@@ -817,7 +945,9 @@ impl Acc {
                 if !any {
                     Value::Null
                 } else if int {
-                    Value::Int(isum)
+                    Value::Int(i64::try_from(isum).map_err(|_| {
+                        Error::Execution(format!("SUM {isum} is out of the BIGINT range"))
+                    })?)
                 } else {
                     Value::Double(sum)
                 }
@@ -830,7 +960,7 @@ impl Acc {
                 }
             }
             Acc::Min(m) | Acc::Max(m) => m.unwrap_or(Value::Null),
-        }
+        })
     }
 }
 
@@ -912,8 +1042,6 @@ impl Groups {
 struct AggState {
     ids: GroupIds,
     groups: Groups,
-    /// Input rows folded (a fused join reports them as its output).
-    rows: u64,
 }
 
 /// `e` over `b`, borrowing a plain column reference instead of copying
@@ -936,7 +1064,6 @@ impl AggState {
                 keys: Vec::new(),
                 accs: Vec::new(),
             },
-            rows: 0,
         }
     }
 
@@ -1010,7 +1137,6 @@ impl AggState {
             .map(|a| a.arg.as_ref().map(|e| eval_cow(e, b)).transpose())
             .collect::<Result<Vec<_>>>()?;
         let gids = self.group_ids(&keys, b.len, aggs);
-        self.rows += b.len as u64;
         let n = aggs.len();
         let accs = &mut self.groups.accs;
         for (j, (call, arg)) in aggs.iter().zip(&args).enumerate() {
@@ -1053,13 +1179,10 @@ impl AggState {
     /// are, an existing one merges them.
     fn merge(&mut self, mut other: AggState, aggs: &[AggCall]) {
         if self.groups.len == 0 {
-            let rows = self.rows;
             *self = other;
-            self.rows += rows;
             return;
         }
         let na = aggs.len();
-        self.rows += other.rows;
         let mut accs = std::mem::take(&mut other.groups.accs).into_iter();
         for og in 0..other.groups.len {
             let (g, created) = self.group(other.groups.key(og), aggs);
@@ -1106,7 +1229,10 @@ impl AggState {
             ..
         } = self.groups;
         let na = aggs.len();
-        let results: Vec<Value> = accs.into_iter().map(Acc::finish).collect();
+        let results = accs
+            .into_iter()
+            .map(Acc::finish)
+            .collect::<Result<Vec<Value>>>()?;
         let value = |g: usize, c: usize| match c.checked_sub(nk) {
             None => &keys[g * nk + c],
             Some(j) => &results[g * na + j],
@@ -1135,166 +1261,6 @@ impl AggState {
     }
 }
 
-/// Fold `units` into one aggregate state with `fold`, which returns
-/// false for a unit that contributed nothing. Serially that is one
-/// state; when the context allows several morsels, each unit folds
-/// into its own partial on the pool and the partials combine in unit
-/// order — the order that keeps repeated runs bit-identical even for
-/// float sums. Returns the state and the number of partials combined
-/// (0 when serial).
-fn fold_units<J: Send + Sync + 'static>(
-    ctx: &ExecContext,
-    units: Vec<Batch>,
-    job: J,
-    n_keys: usize,
-    aggs: &[AggCall],
-    fold: fn(&J, &Batch, &mut AggState) -> Result<bool>,
-) -> Result<(AggState, usize)> {
-    let mut state = AggState::new(n_keys);
-    let par = ctx.par(units.len());
-    if par == 1 {
-        for u in &units {
-            fold(&job, u, &mut state)?;
-        }
-        return Ok((state, 0));
-    }
-    let n = units.len();
-    let shared = Arc::new((units, job));
-    let partials = morsel::run_morsels(par, n, move |i| {
-        let mut t = AggState::new(n_keys);
-        fold(&shared.1, &shared.0[i], &mut t).map(|hit| hit.then_some(t))
-    });
-    let mut merged = 0;
-    for p in partials {
-        match p {
-            None => return Err(Error::Execution("morsel worker panicked".into())),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(Some(t))) => {
-                state.merge(t, aggs);
-                merged += 1;
-            }
-            Some(Ok(None)) => {}
-        }
-    }
-    Ok((state, merged))
-}
-
-/// A `HashAgg` directly over a `HashJoin` aggregates through the join:
-/// each probe batch's matches are gathered for only the columns the
-/// aggregate reads, folded and dropped, so the join output is never
-/// materialized. Per probe batch this folds exactly the rows, in the
-/// order, that the materialized join would hand the aggregate as one
-/// batch, so results are bit-identical to that path.
-struct JoinAgg {
-    left_keys: Vec<usize>,
-    jt: Arc<JoinTable>,
-    /// Join-output columns the aggregate reads, ascending.
-    cols: Vec<usize>,
-    /// `group_by` and `aggs` remapped onto `cols`.
-    group_by: Vec<Expr>,
-    aggs: Vec<AggCall>,
-}
-
-impl JoinAgg {
-    fn new(
-        left_keys: &[usize],
-        jt: Arc<JoinTable>,
-        group_by: &[Expr],
-        aggs: &[AggCall],
-    ) -> JoinAgg {
-        let mut cols = Vec::new();
-        for e in group_by
-            .iter()
-            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-        {
-            e.referenced_cols(&mut cols);
-        }
-        cols.sort_unstable();
-        cols.dedup();
-        let remap = |e: &Expr| e.remap(&|c| cols.binary_search(&c).unwrap_or(0));
-        JoinAgg {
-            left_keys: left_keys.to_vec(),
-            jt,
-            group_by: group_by.iter().map(remap).collect(),
-            aggs: aggs
-                .iter()
-                .map(|a| AggCall {
-                    arg: a.arg.as_ref().map(remap),
-                    ..a.clone()
-                })
-                .collect(),
-            cols,
-        }
-    }
-
-    /// Probe `lb` and fold its matches into `state`; false when nothing
-    /// matched.
-    fn fold_probe(&self, lb: &Batch, state: &mut AggState) -> Result<bool> {
-        let (lidx, ridx) = probe_pairs(lb, &self.left_keys, &self.jt);
-        if lidx.is_empty() {
-            return Ok(false);
-        }
-        let narrow = gather_joined(lb, &self.jt.build, &lidx, &ridx, &self.cols);
-        state.fold(&narrow, &self.group_by, &self.aggs)?;
-        Ok(true)
-    }
-}
-
-fn hash_agg(
-    ctx: &ExecContext,
-    input: &PhysicalPlan,
-    group_by: &[Expr],
-    aggs: &[AggCall],
-    op: usize,
-    stats: Option<&StatsCell>,
-) -> Result<Batch> {
-    let (state, partials) = match input {
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-        } => {
-            // The join's counters are the ones the materialized join
-            // reports: its probe morsels and its matches.
-            let join_op = op + 1;
-            let (jt, lbs) = join_inputs(ctx, left, right, right_keys, join_op, stats)?;
-            if ctx.par(lbs.len()) > 1 {
-                if let Some(s) = stats {
-                    s.add_morsels(join_op, lbs.len() as u64);
-                }
-            }
-            let job = JoinAgg::new(left_keys, jt, group_by, aggs);
-            let (state, partials) =
-                fold_units(ctx, lbs, job, group_by.len(), aggs, JoinAgg::fold_probe)?;
-            if let Some(s) = stats {
-                s.add_rows(join_op, state.rows);
-            }
-            (state, partials)
-        }
-        _ => {
-            let batches = exec_node(input, ctx, op + 1, stats)?;
-            let job = (group_by.to_vec(), aggs.to_vec());
-            fold_units(
-                ctx,
-                batches,
-                job,
-                group_by.len(),
-                aggs,
-                |(g, a), b, state| state.fold(b, g, a).map(|()| true),
-            )?
-        }
-    };
-    // Partial aggregation runs on the pool only over several non-empty
-    // input batches.
-    if partials > 1 {
-        if let Some(s) = stats {
-            s.add_morsels(op, partials as u64);
-        }
-    }
-    state.into_batch(group_by, aggs)
-}
-
 /// Total-order comparator over `b`'s rows: sort keys, then original
 /// position — ties resolve like a stable sort, and every top-K path
 /// selects the same rows the full sort would.
@@ -1314,62 +1280,16 @@ fn row_cmp<'a>(
     }
 }
 
-fn sort(
-    ctx: &ExecContext,
-    input: &PhysicalPlan,
+/// `b`'s rows in sort order under `keys`, cut to the first `limit`; with
+/// `row_order`, the same rows in their original order.
+fn sort_rows(
+    b: &Batch,
     keys: &[(usize, bool)],
     limit: Option<usize>,
-    op: usize,
-    stats: Option<&StatsCell>,
-) -> Result<Batch> {
-    let batches = exec_node(input, ctx, op + 1, stats)?;
-    let par = ctx.par(batches.len());
-    if let Some(k) = limit {
-        if k > 0 && par > 1 && batches.len() > 1 {
-            // Parallel top-K: each morsel keeps its own batch's K best
-            // rows *in original row order*. The global top-K under the
-            // (keys, position) total order is contained in the union of
-            // per-batch top-Ks, and because survivors stay in original
-            // order the concatenation is order-isomorphic to the full
-            // input — so the final bounded sort picks exactly the rows,
-            // in exactly the order, the serial path would.
-            if let Some(s) = stats {
-                s.add_morsels(op, batches.len() as u64);
-            }
-            let n = batches.len();
-            let shared = Arc::new((batches, keys.to_vec()));
-            let pruned =
-                morsel::run_morsels(par, n, move |i| topk_keep(&shared.0[i], &shared.1, k));
-            let mut kept = Vec::new();
-            for p in pruned {
-                match p {
-                    None => return Err(Error::Execution("morsel worker panicked".into())),
-                    Some(Err(e)) => return Err(e),
-                    Some(Ok(b)) => kept.push(b),
-                }
-            }
-            let all = Batch::concat(&kept)?;
-            return sort_batch(all, keys, Some(k));
-        }
-    }
-    sort_batch(Batch::concat(&batches)?, keys, limit)
-}
-
-/// One morsel of the parallel top-K (see [`sort`] for the equivalence
-/// argument): the K best rows of `b`, returned in original row order.
-fn topk_keep(b: &Batch, keys: &[(usize, bool)], k: usize) -> Result<Batch> {
+    row_order: bool,
+) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..b.len).collect();
-    if b.len > k {
-        idx.select_nth_unstable_by(k - 1, row_cmp(b, keys));
-        idx.truncate(k);
-        idx.sort_unstable();
-    }
-    b.gather(&idx)
-}
-
-fn sort_batch(b: Batch, keys: &[(usize, bool)], limit: Option<usize>) -> Result<Batch> {
-    let mut idx: Vec<usize> = (0..b.len).collect();
-    let cmp = row_cmp(&b, keys);
+    let cmp = row_cmp(b, keys);
     match limit {
         Some(0) => idx.clear(),
         // Bounded top-K: O(n) partition around the k-th row, then sort
@@ -1377,11 +1297,15 @@ fn sort_batch(b: Batch, keys: &[(usize, bool)], limit: Option<usize>) -> Result<
         Some(k) if k < idx.len() => {
             idx.select_nth_unstable_by(k - 1, &cmp);
             idx.truncate(k);
-            idx.sort_unstable_by(&cmp);
         }
-        _ => idx.sort_unstable_by(&cmp),
+        _ => {}
     }
-    b.gather(&idx)
+    if row_order {
+        idx.sort_unstable();
+    } else {
+        idx.sort_unstable_by(&cmp);
+    }
+    idx
 }
 
 #[cfg(test)]
@@ -1775,10 +1699,30 @@ mod tests {
 
     #[test]
     fn stats_report_rows_and_morsels() {
-        let (mut ctx, _) = ctx_with_data(64, 8); // 8 groups
-        ctx.parallelism = 4;
+        // s ⋈ t ON s.qty = t.id ⋈ u ON t.qty = u.id, u.id >= 2, then
+        // t.id < 5, counted per region. 64 rows in 8 groups per scan.
+        let (mut ctx, _) = ctx_with_data(64, 8);
+        let chain = PhysicalPlan::HashJoin {
+            left: Box::new(PhysicalPlan::HashJoin {
+                left: Box::new(scan_all()),
+                right: Box::new(scan_all()),
+                left_keys: vec![2],
+                right_keys: vec![0],
+            }),
+            right: Box::new(PhysicalPlan::ColumnScan {
+                table: TableId(1),
+                cols: vec![0, 1, 2, 3],
+                prune: vec![],
+                filter: Some(Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(2i64))),
+            }),
+            left_keys: vec![6],
+            right_keys: vec![0],
+        };
         let plan = PhysicalPlan::HashAgg {
-            input: Box::new(scan_all()),
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(chain),
+                pred: Expr::cmp(CmpOp::Lt, Expr::col(4), Expr::lit(5i64)),
+            }),
             group_by: vec![Expr::col(1)],
             aggs: vec![AggCall {
                 func: AggFunc::CountStar,
@@ -1786,52 +1730,24 @@ mod tests {
                 distinct: false,
             }],
         };
-        let (out, stats) = execute_with_stats(&plan, &ctx).unwrap();
-        assert_eq!(out.len, 4);
-        assert_eq!(stats.rows.len(), 2, "one entry per operator");
-        assert_eq!(stats.rows[0], 4, "agg output rows");
-        assert_eq!(stats.rows[1], 64, "scan output rows");
-        assert_eq!(stats.morsels[1], 8, "one morsel per row group");
-        assert!(stats.total_morsels() >= 8);
-
-        // An aggregate folded straight out of a join reports the join's
-        // rows and morsels as the materialized join does (an identity
-        // Project between the two keeps the join output materialized).
-        let join = PhysicalPlan::HashJoin {
-            left: Box::new(scan_all()),
-            right: Box::new(scan_all()),
-            left_keys: vec![2],
-            right_keys: vec![0],
-        };
-        let agg_over = |input: PhysicalPlan| PhysicalPlan::HashAgg {
-            input: Box::new(input),
-            group_by: vec![Expr::col(5)],
-            aggs: vec![AggCall {
-                func: AggFunc::Sum,
-                arg: Some(Expr::col(3)),
-                distinct: false,
-            }],
-        };
-        let materialized = agg_over(PhysicalPlan::Project {
-            input: Box::new(join.clone()),
-            exprs: (0..8).map(Expr::col).collect(),
-        });
+        // Pre-order: agg, filter, outer join, inner join, scan s, scan
+        // t, scan u. Each s row matches the one t with t.id = s.qty ∈
+        // 0..10 (64); t.qty = t.id, so u keeps the 50 with s.qty >= 2
+        // (six decades of 8, plus pk 62 and 63); t.id < 5 keeps qty 2..5
+        // (six decades of 3, plus 62 and 63: 20) in all four regions.
+        let rows = [4, 20, 50, 64, 64, 64, 62];
+        let mut outs = Vec::new();
         for par in [1, 4] {
             ctx.parallelism = par;
-            let (fused_out, fused) = execute_with_stats(&agg_over(join.clone()), &ctx).unwrap();
-            let (mat_out, mat) = execute_with_stats(&materialized, &ctx).unwrap();
-            assert_eq!(
-                fused.rows[1], 64,
-                "par={par}: qty ∈ 0..10 matches one id each"
-            );
-            assert_eq!(fused.rows[1], mat.rows[2], "par={par}: join rows");
-            assert_eq!(fused.morsels[1], mat.morsels[2], "par={par}: join morsels");
-            assert_eq!(fused.morsels[0], mat.morsels[0], "par={par}: agg morsels");
-            assert_eq!(fused.rows[2..], mat.rows[3..], "par={par}: scans");
-            assert_eq!(fused_out.len, 4, "par={par}: four regions");
-            for r in 0..fused_out.len {
-                assert_eq!(fused_out.row(r), mat_out.row(r), "par={par} row {r}");
-            }
+            let (out, stats) = execute_with_stats(&plan, &ctx).unwrap();
+            assert_eq!(stats.rows, rows, "par={par}");
+            // One pipeline per scan, each of 8 row-group morsels: every
+            // operator counts the morsels of its pipeline.
+            assert_eq!(stats.morsels, [8; 7], "par={par}");
+            outs.push((0..out.len).map(|r| out.row(r)).collect::<Vec<_>>());
         }
+        assert_eq!(outs[0], outs[1]);
+        let counts: i64 = outs[0].iter().filter_map(|r| r[1].as_int()).sum();
+        assert_eq!(counts, 20);
     }
 }

@@ -7,9 +7,10 @@
 //! * [`plan`] — physical operator tree;
 //! * [`morsel`] — the shared worker pool behind morsel-driven
 //!   parallelism (paper §6.2);
-//! * [`exec`] — pipeline execution with morsel-parallel pack-pruned,
-//!   late-materialized scans, partitioned hash join, partial hash
-//!   aggregation, sort/top-K.
+//! * [`exec`] — one pipeline executor: each morsel streams a
+//!   pack-pruned, late-materialized scan through filters, projections
+//!   and join probes into a sink (collect, partial hash aggregate,
+//!   top-K, limit).
 
 pub mod batch;
 pub mod exec;
@@ -19,7 +20,7 @@ pub mod morsel;
 pub mod plan;
 
 pub use batch::Batch;
-pub use exec::{exec_stream, execute, execute_with_stats, Acc, ExecContext, ExecStats};
+pub use exec::{execute, execute_with_stats, Acc, ExecContext, ExecStats};
 pub use expr::{ArithOp, CmpOp, Expr, LikePattern};
 pub use kernels::{batch_views, compressible, eval_sel, ColView};
 pub use morsel::WorkerPool;

@@ -1,14 +1,19 @@
 //! Shared morsel worker pool (paper §6.2 executor fan-out).
 //!
 //! One process-global pool, sized by `available_parallelism`, executes
-//! *morsels* — independent work units such as one row-group scan, one
-//! partial-aggregation batch, or one join-probe batch — on behalf of
-//! every concurrently running query. Two scheduling rules keep the
+//! *morsels* on behalf of every concurrently running query. A morsel is
+//! one pipeline run over one unit of input — a pinned row group (or a
+//! breaker's output) taken through the pipeline's filters,
+//! projections and join probes into its sink's partial — or one
+//! partition of a join's key maps. Two scheduling rules keep the
 //! shared pool deadlock-free no matter how many queries overlap:
 //!
 //! * only a query's orchestrator thread (the `execute` caller) ever
 //!   blocks waiting for results; pool tasks never wait on other tasks
-//!   or dispatch nested morsel runs, so every submitted job completes;
+//!   or dispatch nested morsel runs, so every submitted job completes.
+//!   The executor keeps this by running every build side and breaker
+//!   a pipeline depends on from the orchestrator before it dispatches
+//!   the pipeline;
 //! * a query dispatches at most `ExecContext::parallelism` *runner*
 //!   tasks. Each runner pulls morsel indices from a shared counter
 //!   (dynamic load balancing across uneven morsels) and writes its

@@ -142,28 +142,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Is every operator in this plan safe to run with morsel
-    /// parallelism? All current operators are: each parallel path has a
-    /// deterministic merge that reproduces serial output exactly (see
-    /// the `HashJoin`/`HashAgg` contracts and the executor's top-K
-    /// argument). The planner still consults this before handing a
-    /// parallelism budget to the executor, so a future operator without
-    /// a parallel-safe merge degrades to serial instead of silently
-    /// reordering results.
-    pub fn parallel_safe(&self) -> bool {
-        match self {
-            PhysicalPlan::ColumnScan { .. } => true,
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAgg { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => input.parallel_safe(),
-            PhysicalPlan::HashJoin { left, right, .. } => {
-                left.parallel_safe() && right.parallel_safe()
-            }
-        }
-    }
-
     /// One `EXPLAIN` line for this node alone (no children, no indent).
     fn describe(&self) -> String {
         match self {
@@ -269,7 +247,6 @@ mod tests {
         };
         assert_eq!(agg.op_count(), 4);
         assert_eq!(agg.join_count(), 1);
-        assert!(agg.parallel_safe());
     }
 
     #[test]

@@ -1,20 +1,29 @@
-//! Equivalence oracle for morsel-driven parallel execution: on random
-//! data (nulls, deletes, adversarial group capacities) and random plan
-//! shapes (filtered scans, self-joins, group-by aggregation, top-K),
-//! running with `parallelism ∈ {2, 4, 7}` must produce batches
-//! bit-identical to the serial `parallelism = 1` path, and repeated
-//! parallel runs must be deterministic.
+//! Equivalence oracles for the pipeline executor.
 //!
-//! Doubles are generated as multiples of 0.25 so every partial sum is
-//! exactly representable — the merge order the parallel aggregate uses
-//! is deterministic, and with exact values serial == parallel holds as
-//! equality, not approximation.
+//! The first oracle runs random plan shapes — filtered scans, self-joins,
+//! group-by and global aggregation, top-K and full sorts, a `Filter` or
+//! a `Project` between a join and its aggregate, a two-join chain under
+//! an aggregate (the CH-Q3 shape), and a `Limit` or a top-K `Sort` over
+//! a join — on random data (nulls, deletes, adversarial group
+//! capacities), and checks that `parallelism ∈ {2, 4, 7}` produces
+//! batches bit-identical to `parallelism = 1`, and that repeated
+//! parallel runs are deterministic. Every morsel folds into its own
+//! partial and the partials combine in morsel order at every
+//! parallelism, so this holds for arbitrary finite doubles too: column
+//! `e` draws them off any grid.
 //!
-//! A `HashAgg` directly over a `HashJoin` folds the join's matches
-//! without materializing them; a second oracle checks it against the
-//! materialized path (the same plan with an identity `Project` between
-//! join and aggregate) and against a naive `Acc::update` fold of the
-//! joined rows.
+//! The second oracle checks aggregates over joins against an
+//! independent reference: a nested-loop join of the scanned rows folded
+//! through `Acc::update` in row order into a `BTreeMap`. It covers an
+//! aggregate directly over a join, over a `Filter` over a join, over a
+//! `Project` over a join, and over a two-join chain, with every `Acc`
+//! variant over Int, Double and Str arguments and group keys from either
+//! side, both, Str and none, NULL keys included. The executor runs these
+//! shapes fused — one pipeline from the probe scan to the aggregate — so
+//! the naive fold is the only reference that does not share its code
+//! path. Its doubles (column `d`) are multiples of 0.25, so partial sums
+//! are exact in any association and the row-order fold agrees bit for
+//! bit.
 
 use imci_common::{
     ColumnDef, DataType, FxHashMap, IndexDef, IndexKind, Schema, TableId, Value, Vid,
@@ -35,6 +44,7 @@ fn schema() -> Schema {
             ColumnDef::new("grp", DataType::Int),
             ColumnDef::new("d", DataType::Double),
             ColumnDef::new("s", DataType::Str),
+            ColumnDef::new("e", DataType::Double),
         ],
         vec![
             IndexDef {
@@ -45,14 +55,20 @@ fn schema() -> Schema {
             IndexDef {
                 kind: IndexKind::Column,
                 name: "ci".into(),
-                columns: vec![0, 1, 2, 3, 4],
+                columns: vec![0, 1, 2, 3, 4, 5],
             },
         ],
     )
     .unwrap()
 }
 
-type Row = (Option<i64>, Option<i64>, Option<f64>, Option<u8>);
+type Row = (
+    Option<i64>,
+    Option<i64>,
+    Option<f64>,
+    Option<u8>,
+    Option<f64>,
+);
 
 /// Build a column index over generated rows. `group_cap` is the rowgroup
 /// capacity — i.e. the morsel size — so small values make many morsels
@@ -60,7 +76,7 @@ type Row = (Option<i64>, Option<i64>, Option<f64>, Option<u8>);
 /// are deleted afterwards so sealed groups carry partial visibility.
 fn build_ctx(rows: &[Row], dels: &[u8], group_cap: usize) -> ExecContext {
     let idx = ColumnIndex::for_schema(&schema(), group_cap);
-    for (i, (val, grp, d, s)) in rows.iter().enumerate() {
+    for (i, (val, grp, d, s, e)) in rows.iter().enumerate() {
         idx.insert(
             Vid(1),
             &[
@@ -70,6 +86,7 @@ fn build_ctx(rows: &[Row], dels: &[u8], group_cap: usize) -> ExecContext {
                 d.map(Value::Double).unwrap_or(Value::Null),
                 s.map(|s| Value::Str(format!("s{s}")))
                     .unwrap_or(Value::Null),
+                e.map(Value::Double).unwrap_or(Value::Null),
             ],
         )
         .unwrap();
@@ -90,17 +107,29 @@ fn arb_row() -> impl Strategy<Value = Row> {
     (
         (0u8..8, -20i64..20).prop_map(|(t, v)| (t > 0).then_some(v)),
         (0u8..10, 0i64..5).prop_map(|(t, g)| (t > 0).then_some(g)),
-        // Multiples of 0.25: exact in binary, so parallel partial sums
-        // merged in any grouping equal the serial left-to-right sum.
+        // Multiples of 0.25: exact in binary, so partial sums merged in
+        // any grouping equal the naive oracle's left-to-right sum.
         (0u8..8, -120i64..120).prop_map(|(t, q)| (t > 0).then_some(q as f64 * 0.25)),
         (0u8..6, 0u8..6).prop_map(|(t, s)| (t > 0).then_some(s)),
+        // Arbitrary finite doubles, huge and small: sums of these depend
+        // on the association, which serial and parallel runs share.
+        (0u8..8, any::<f64>(), -1.0f64..1.0)
+            .prop_map(|(t, big, small)| (t > 0).then_some(if t % 2 == 0 { big } else { small })),
     )
+}
+
+/// Columns each `scan_ids` side contributes to a join's output.
+const W: usize = 6;
+
+/// Build-side column `c` of a join over two `scan_ids`.
+const fn b(c: usize) -> usize {
+    W + c
 }
 
 fn scan(filter: Option<Expr>) -> PhysicalPlan {
     PhysicalPlan::ColumnScan {
         table: TableId(9),
-        cols: vec![0, 1, 2, 3],
+        cols: vec![0, 1, 2, 3, 5],
         prune: vec![],
         filter,
     }
@@ -114,14 +143,11 @@ fn agg(func: AggFunc, col: usize) -> AggCall {
     }
 }
 
-/// Join output width: five probe columns, then five build columns.
-const JOIN_WIDTH: usize = 10;
-
 /// Scan of every column, ids in `lo..hi` (so NULL values survive).
 fn scan_ids(lo: i64, hi: i64) -> PhysicalPlan {
     PhysicalPlan::ColumnScan {
         table: TableId(9),
-        cols: vec![0, 1, 2, 3, 4],
+        cols: (0..W).collect(),
         prune: vec![],
         filter: Some(
             Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(lo)).and(Expr::cmp(
@@ -144,15 +170,29 @@ fn grp_join(probe_min: i64, build_max: i64) -> PhysicalPlan {
     }
 }
 
-/// The join's rows by nested loops over the two scans: probe-row order,
-/// then build-row order, as `HashJoin` promises.
-fn naive_join(ctx: &mut ExecContext, probe_min: i64, build_max: i64) -> Vec<Vec<Value>> {
-    let probe = run(ctx, &scan_ids(probe_min, i64::MAX), 1);
-    let build = run(ctx, &scan_ids(0, build_max), 1);
+/// `grp_join` probing a third scan on the build side's `val`: a two-join
+/// left-deep chain, as CH-Q3 joins three tables.
+fn chain(probe_min: i64, build_max: i64, third_min: i64) -> PhysicalPlan {
+    PhysicalPlan::HashJoin {
+        left: Box::new(grp_join(probe_min, build_max)),
+        right: Box::new(scan_ids(third_min, i64::MAX)),
+        left_keys: vec![b(1)],
+        right_keys: vec![1],
+    }
+}
+
+/// Keep join rows whose build-side `val` is at least `k`.
+fn val_at_least(k: i64) -> Expr {
+    Expr::cmp(CmpOp::Ge, Expr::col(b(1)), Expr::lit(k))
+}
+
+/// Nested loops: `left` rows in order, each with its `right` matches in
+/// order, as `HashJoin` promises; NULL keys never join.
+fn nested_loop(left: &[Vec<Value>], right: &[Vec<Value>], lk: usize, rk: usize) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
-    for p in &probe {
-        for b in build.iter().filter(|b| !p[2].is_null() && b[2] == p[2]) {
-            out.push(p.iter().chain(b).cloned().collect());
+    for l in left {
+        for r in right.iter().filter(|r| !l[lk].is_null() && r[rk] == l[lk]) {
+            out.push(l.iter().chain(r).cloned().collect());
         }
     }
     out
@@ -160,60 +200,66 @@ fn naive_join(ctx: &mut ExecContext, probe_min: i64, build_max: i64) -> Vec<Vec<
 
 /// Group keys over the join output: an Int key from the probe side
 /// (NULLs included), one from the build side, a Str key, two Int keys
-/// from both sides, an Int + Str key, and none.
+/// from both sides, a Double + Str key, and none.
 fn group_keys(choice: usize) -> Vec<Expr> {
     let keys: &[usize] = match choice {
         0 => &[1],
-        1 => &[6],
-        2 => &[9],
-        3 => &[1, 6],
-        4 => &[8, 4],
+        1 => &[b(1)],
+        2 => &[b(4)],
+        3 => &[1, b(1)],
+        4 => &[b(3), 4],
         _ => &[],
     };
     keys.iter().map(|&c| Expr::col(c)).collect()
 }
 
 /// Every `Acc` variant over Int, Double and Str arguments from both
-/// sides of the join.
+/// sides of the join, doubles on the exact grid only.
 fn join_aggs() -> Vec<AggCall> {
     let mut aggs = vec![
         agg(AggFunc::CountStar, 0),
         agg(AggFunc::Count, 4),
-        agg(AggFunc::Count, 8),
+        agg(AggFunc::Count, b(3)),
         agg(AggFunc::Sum, 1),
-        agg(AggFunc::Sum, 8),
-        agg(AggFunc::Sum, 9),
+        agg(AggFunc::Sum, b(3)),
+        agg(AggFunc::Sum, b(4)),
         agg(AggFunc::Avg, 3),
-        agg(AggFunc::Avg, 6),
-        agg(AggFunc::Min, 9),
+        agg(AggFunc::Avg, b(1)),
+        agg(AggFunc::Min, b(4)),
         agg(AggFunc::Max, 4),
-        agg(AggFunc::Min, 8),
+        agg(AggFunc::Min, b(3)),
         agg(AggFunc::Max, 1),
     ];
-    aggs.extend([6, 4].map(|c| AggCall {
+    aggs.extend([b(1), 4].map(|c| AggCall {
         distinct: true,
         ..agg(AggFunc::Count, c)
     }));
     aggs
 }
 
-fn agg_over_join(join: PhysicalPlan, keys: usize) -> PhysicalPlan {
+/// `join_aggs` plus sums of the off-grid column on both sides.
+fn join_aggs_off_grid() -> Vec<AggCall> {
+    let mut aggs = join_aggs();
+    aggs.extend([agg(AggFunc::Sum, 5), agg(AggFunc::Avg, b(5))]);
+    aggs
+}
+
+fn agg_over(input: PhysicalPlan, group_by: Vec<Expr>, aggs: Vec<AggCall>) -> PhysicalPlan {
     PhysicalPlan::HashAgg {
-        input: Box::new(join),
-        group_by: group_keys(keys),
-        aggs: join_aggs(),
+        input: Box::new(input),
+        group_by,
+        aggs,
     }
 }
 
-/// Random plan over the scanned table, exercising every parallel merge
-/// path: pushed-filter scans, standalone filters, group-by and global
-/// aggregation, hash self-joins, full sorts, and top-K.
+/// Random plan over the scanned table, exercising every pipeline shape
+/// and every sink.
 fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
     fn filt() -> impl Strategy<Value = Expr> {
         (-15i64..15).prop_map(|k| Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit(k)))
     }
     prop_oneof![
-        // Filtered scan (pushed down), then Project keeping it parallel.
+        // Filtered scan (pushed down), then a Project.
         filt().prop_map(|p| PhysicalPlan::Project {
             input: Box::new(scan(Some(p))),
             exprs: vec![Expr::col(0), Expr::col(1), Expr::col(3)],
@@ -224,10 +270,10 @@ fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
             pred: p,
         }),
         // Group-by aggregation over a filtered scan: every Acc variant.
-        filt().prop_map(|p| PhysicalPlan::HashAgg {
-            input: Box::new(scan(Some(p))),
-            group_by: vec![Expr::col(2)],
-            aggs: vec![
+        filt().prop_map(|p| agg_over(
+            scan(Some(p)),
+            vec![Expr::col(2)],
+            vec![
                 agg(AggFunc::CountStar, 0),
                 agg(AggFunc::Count, 1),
                 agg(AggFunc::Sum, 1),
@@ -235,24 +281,81 @@ fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
                 agg(AggFunc::Avg, 3),
                 agg(AggFunc::Min, 1),
                 agg(AggFunc::Max, 3),
+                agg(AggFunc::Sum, 4),
+                agg(AggFunc::Avg, 4),
             ],
-        }),
+        )),
         // Global aggregate (no groups) — exercises the empty-input row.
-        filt().prop_map(|p| PhysicalPlan::HashAgg {
-            input: Box::new(scan(Some(p))),
-            group_by: vec![],
-            aggs: vec![agg(AggFunc::CountStar, 0), agg(AggFunc::Sum, 3)],
-        }),
-        // Hash self-join on grp: partitioned build + parallel probe.
+        filt().prop_map(|p| agg_over(
+            scan(Some(p)),
+            vec![],
+            vec![
+                agg(AggFunc::CountStar, 0),
+                agg(AggFunc::Sum, 3),
+                agg(AggFunc::Sum, 4)
+            ],
+        )),
+        // Hash self-join on grp: partitioned build + probe per morsel.
         (filt(), -15i64..15).prop_map(|(p, k)| PhysicalPlan::HashJoin {
             left: Box::new(scan(Some(p))),
             right: Box::new(scan(Some(Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit(k))))),
             left_keys: vec![2],
             right_keys: vec![2],
         }),
-        // Aggregate folded straight out of the join's probe batches.
-        (0i64..60, 0i64..100, 0usize..6)
-            .prop_map(|(p, k, keys)| agg_over_join(grp_join(p, k), keys)),
+        // Aggregate straight over a join.
+        (0i64..60, 0i64..100, 0usize..6).prop_map(|(p, k, keys)| agg_over(
+            grp_join(p, k),
+            group_keys(keys),
+            join_aggs_off_grid()
+        )),
+        // A Filter between the join and its aggregate.
+        (0i64..60, 0i64..100, -20i64..20, 0usize..6).prop_map(|(p, k, v, keys)| agg_over(
+            PhysicalPlan::Filter {
+                input: Box::new(grp_join(p, k)),
+                pred: val_at_least(v),
+            },
+            group_keys(keys),
+            join_aggs_off_grid(),
+        )),
+        // A Project between the join and its aggregate.
+        (0i64..60, 0i64..100).prop_map(|(p, k)| agg_over(
+            PhysicalPlan::Project {
+                input: Box::new(grp_join(p, k)),
+                exprs: vec![
+                    Expr::col(b(5)),
+                    Expr::col(4),
+                    Expr::Arith(
+                        imci_executor::ArithOp::Add,
+                        Box::new(Expr::col(1)),
+                        Box::new(Expr::col(b(1))),
+                    ),
+                    Expr::col(5),
+                ],
+            },
+            vec![Expr::col(1)],
+            vec![
+                agg(AggFunc::Sum, 0),
+                agg(AggFunc::Sum, 2),
+                agg(AggFunc::Avg, 3)
+            ],
+        )),
+        // Two joins in a chain under an aggregate (the CH-Q3 shape).
+        (0i64..60, 0i64..100, 0i64..100, 0usize..6).prop_map(|(p, k, t, keys)| {
+            let mut aggs = join_aggs_off_grid();
+            aggs.extend([agg(AggFunc::Sum, 2 * W + 5), agg(AggFunc::Max, 2 * W + 4)]);
+            agg_over(chain(p, k, t), group_keys(keys), aggs)
+        }),
+        // A Limit over a join.
+        (0i64..60, 0i64..100, 0usize..40).prop_map(|(p, k, n)| PhysicalPlan::Limit {
+            input: Box::new(grp_join(p, k)),
+            n,
+        }),
+        // A top-K Sort over a join, on the off-grid column.
+        (0i64..60, 0i64..100, 0usize..12).prop_map(|(p, k, n)| PhysicalPlan::Sort {
+            input: Box::new(grp_join(p, k)),
+            keys: vec![(b(5), true), (0, false)],
+            limit: Some(n),
+        }),
         // Top-K over a filtered scan: per-morsel pruning + bounded sort.
         (filt(), 1usize..12).prop_map(|(p, k)| PhysicalPlan::Sort {
             input: Box::new(scan(Some(p))),
@@ -262,7 +365,7 @@ fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
         // Full sort (no limit) for the gather-then-sort path.
         filt().prop_map(|p| PhysicalPlan::Sort {
             input: Box::new(scan(Some(p))),
-            keys: vec![(3, false), (0, true)],
+            keys: vec![(4, false), (0, true)],
             limit: None,
         }),
     ]
@@ -274,9 +377,9 @@ fn run(ctx: &mut ExecContext, plan: &PhysicalPlan, par: usize) -> Vec<Vec<Value>
     (0..b.len).map(|r| b.row(r)).collect()
 }
 
-/// Reference aggregate: `Acc::update` over each joined row in order,
-/// groups in a `BTreeMap` (sorted like `HashAgg`'s output).
-fn naive_agg(joined: &[Vec<Value>], keys: &[Expr], aggs: &[AggCall]) -> Vec<Vec<Value>> {
+/// Reference aggregate: `Acc::update` over each row in order, groups in
+/// a `BTreeMap` (sorted like `HashAgg`'s output).
+fn naive_agg(rows: &[Vec<Value>], keys: &[Expr], aggs: &[AggCall]) -> Vec<Vec<Value>> {
     let col = |e: &Expr| match e {
         Expr::Col(c) => *c,
         other => panic!("plain column expected, got {other:?}"),
@@ -285,7 +388,7 @@ fn naive_agg(joined: &[Vec<Value>], keys: &[Expr], aggs: &[AggCall]) -> Vec<Vec<
     if keys.is_empty() {
         groups.insert(Vec::new(), aggs.iter().map(Acc::new).collect());
     }
-    for row in joined {
+    for row in rows {
         let key = keys.iter().map(|k| row[col(k)].clone()).collect();
         let accs = groups
             .entry(key)
@@ -297,10 +400,82 @@ fn naive_agg(joined: &[Vec<Value>], keys: &[Expr], aggs: &[AggCall]) -> Vec<Vec<
     groups
         .into_iter()
         .map(|(mut key, accs)| {
-            key.extend(accs.into_iter().map(Acc::finish));
+            for acc in accs {
+                key.push(acc.finish().unwrap());
+            }
             key
         })
         .collect()
+}
+
+/// One aggregate-over-join shape of the second oracle and its naive
+/// result: 0 directly over the join, 1 over a `Filter`, 2 over a
+/// `Project`, 3 over a two-join chain.
+fn oracle_case(
+    ctx: &mut ExecContext,
+    shape: usize,
+    (probe_min, build_max, third_min): (i64, i64, i64),
+    v: i64,
+    keys: usize,
+) -> (PhysicalPlan, Vec<Vec<Value>>) {
+    let probe = run(ctx, &scan_ids(probe_min, i64::MAX), 1);
+    let build = run(ctx, &scan_ids(0, build_max), 1);
+    let joined = nested_loop(&probe, &build, 2, 2);
+    let join = grp_join(probe_min, build_max);
+    let (keys, aggs) = (group_keys(keys), join_aggs());
+    match shape {
+        0 => {
+            let naive = naive_agg(&joined, &keys, &aggs);
+            (agg_over(join, keys, aggs), naive)
+        }
+        1 => {
+            let kept: Vec<Vec<Value>> = joined
+                .into_iter()
+                .filter(|r| matches!(r[b(1)], Value::Int(x) if x >= v))
+                .collect();
+            let naive = naive_agg(&kept, &keys, &aggs);
+            let filtered = PhysicalPlan::Filter {
+                input: Box::new(join),
+                pred: val_at_least(v),
+            };
+            (agg_over(filtered, keys, aggs), naive)
+        }
+        2 => {
+            // Reordered columns, some dropped: build val, probe Str, probe
+            // d, build grp.
+            let pick = [b(1), 4, 3, b(2)];
+            let projected: Vec<Vec<Value>> = joined
+                .iter()
+                .map(|r| pick.iter().map(|&c| r[c].clone()).collect())
+                .collect();
+            let (keys, aggs) = (
+                vec![Expr::col(1)],
+                // Nothing reads the build grp: the join never gathers it.
+                vec![
+                    agg(AggFunc::Sum, 0),
+                    agg(AggFunc::Avg, 2),
+                    agg(AggFunc::CountStar, 0),
+                ],
+            );
+            let naive = naive_agg(&projected, &keys, &aggs);
+            let project = PhysicalPlan::Project {
+                input: Box::new(join),
+                exprs: pick.iter().map(|&c| Expr::col(c)).collect(),
+            };
+            (agg_over(project, keys, aggs), naive)
+        }
+        _ => {
+            let third = run(ctx, &scan_ids(third_min, i64::MAX), 1);
+            let chained = nested_loop(&joined, &third, b(1), 1);
+            let mut aggs = aggs;
+            aggs.extend([agg(AggFunc::Sum, 2 * W + 3), agg(AggFunc::Min, 2 * W + 4)]);
+            let naive = naive_agg(&chained, &keys, &aggs);
+            (
+                agg_over(chain(probe_min, build_max, third_min), keys, aggs),
+                naive,
+            )
+        }
+    }
 }
 
 proptest! {
@@ -322,31 +497,19 @@ proptest! {
     }
 
     #[test]
-    fn agg_over_join_matches_materialized_and_naive(
+    fn agg_over_joins_matches_naive_fold(
         rows in prop::collection::vec(arb_row(), 1..100),
         dels in prop::collection::vec(0u8..4, 1..12),
         group_cap in prop_oneof![Just(3usize), Just(7), Just(16), Just(64)],
-        probe_min in 0i64..60,
-        build_max in 0i64..100,
+        ranges in (0i64..60, 0i64..100, 0i64..100),
+        v in -20i64..20,
+        shape in 0usize..4,
         keys in 0usize..6,
     ) {
         let mut ctx = build_ctx(&rows, &dels, group_cap);
-        let join = grp_join(probe_min, build_max);
-        let fused = agg_over_join(join.clone(), keys);
-        // The identity Project keeps the join's output materialized.
-        let materialized = agg_over_join(
-            PhysicalPlan::Project {
-                input: Box::new(join.clone()),
-                exprs: (0..JOIN_WIDTH).map(Expr::col).collect(),
-            },
-            keys,
-        );
-        let joined = naive_join(&mut ctx, probe_min, build_max);
-        let naive = naive_agg(&joined, &group_keys(keys), &join_aggs());
+        let (plan, naive) = oracle_case(&mut ctx, shape, ranges, v, keys);
         for par in [1usize, 2, 4, 7] {
-            let got = run(&mut ctx, &fused, par);
-            prop_assert_eq!(&got, &run(&mut ctx, &materialized, par), "materialized, parallelism {}", par);
-            prop_assert_eq!(&got, &naive, "naive fold, parallelism {}", par);
+            prop_assert_eq!(&run(&mut ctx, &plan, par), &naive, "shape {}, parallelism {}", shape, par);
         }
     }
 

@@ -423,9 +423,7 @@ impl QueryEngine {
     /// Build the column plan and execution context for a bound query:
     /// plan transform, snapshot pinning (one consistent snapshot per
     /// table), then tuning — per-call options override the executor's
-    /// defaults, and the planner's [`PhysicalPlan::parallel_safe`] check
-    /// clamps parallelism to 1 for any plan shape without a
-    /// parallel-safe merge.
+    /// defaults.
     fn column_plan_ctx(
         &self,
         q: &BoundQuery,
@@ -440,11 +438,7 @@ impl QueryEngine {
             snaps.insert(bt.schema.table_id, Arc::new(idx.snapshot()));
         }
         let mut ctx = ExecContext::new(snaps);
-        ctx.parallelism = match opts.parallelism {
-            _ if !plan.parallel_safe() => 1,
-            Some(n) => n.max(1),
-            None => ctx.parallelism,
-        };
+        ctx.parallelism = opts.parallelism.map_or(ctx.parallelism, |n| n.max(1));
         ctx.prune_enabled = opts.prune.unwrap_or(ctx.prune_enabled);
         Ok((plan, ctx))
     }
@@ -680,6 +674,32 @@ mod tests {
         assert_eq!(col_res.engine, EngineChoice::Column);
         assert_eq!(row_res.rows.len(), 5);
         assert_eq!(row_res.rows, col_res.rows, "engines must agree");
+    }
+
+    #[test]
+    fn integer_sum_out_of_range_fails_on_both_engines() {
+        let qe = node();
+        for i in 0..2 {
+            run(
+                &qe,
+                &format!(
+                    "INSERT INTO items VALUES ({i}, 0, {}, 0.5, 'x')",
+                    1i64 << 62
+                ),
+            )
+            .unwrap();
+        }
+        mirror(&qe, "items");
+        for engine in [EngineChoice::Row, EngineChoice::Column] {
+            let res = qe.run(
+                "SELECT SUM(qty) FROM items",
+                &QueryOptions::forced(Some(engine)),
+            );
+            assert!(
+                matches!(&res, Err(Error::Execution(m)) if m.contains("BIGINT")),
+                "{engine:?}: {res:?}"
+            );
+        }
     }
 
     #[test]

@@ -241,7 +241,9 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
         let mut out = Vec::with_capacity(groups.len());
         for (key, accs) in groups {
             let mut agg_row = key;
-            agg_row.extend(accs.into_iter().map(Acc::finish));
+            for acc in accs {
+                agg_row.push(acc.finish()?);
+            }
             let projected: Vec<Value> = q
                 .output
                 .iter()
