@@ -202,10 +202,12 @@ fn days_from_civil(y: i64, m: i64, d: i64) -> i64 {
     era * 146097 + doe - 719468
 }
 
-fn civil_from_days(z: i64) -> (i64, i64, i64) {
-    let z = z + 719468;
-    let era = if z >= 0 { z } else { z - 146096 } / 146097;
-    let doe = z - era * 146097;
+/// Days since the Unix epoch to `(year, month, day)`, proleptic
+/// Gregorian. Total over `i64`: day counts within 719,468 of `i64::MAX`
+/// saturate (they name no calendar date anyway).
+pub fn civil_from_days(z: i64) -> (i64, i64, i64) {
+    let z = z.saturating_add(719468);
+    let (era, doe) = (z.div_euclid(146097), z.rem_euclid(146097));
     let yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
     let y = yoe + era * 400;
     let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
@@ -251,19 +253,24 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    /// Agrees with `Eq`: numbers that compare equal across types
+    /// (`Int(3) == Double(3.0)`) hash by the same `f64` image. An
+    /// integral image hashes as that integer, so small Ints keep the
+    /// spread of an `i64` hash (the low bits of an integral `f64` are
+    /// zero and would share a bucket).
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => state.write_u8(0),
             Value::Int(v) | Value::Date(v) => {
                 state.write_u8(1);
-                state.write_i64(*v);
+                state.write_i64((*v as f64) as i64);
             }
             Value::Double(v) => {
-                state.write_u8(2);
-                // Normalize -0.0 so hash agrees with total_cmp-based Eq for
-                // the values we actually produce.
-                let v = if *v == 0.0 { 0.0f64 } else { *v };
-                state.write_u64(v.to_bits());
+                state.write_u8(1);
+                match v.fract() == 0.0 {
+                    true => state.write_i64(*v as i64),
+                    false => state.write_u64(v.to_bits()),
+                }
             }
             Value::Str(s) => {
                 state.write_u8(3);
@@ -391,5 +398,43 @@ mod tests {
         // Int and Date with same payload are Eq by our Ord; hashes agree.
         assert_eq!(Value::Int(7), Value::Date(7));
         assert_eq!(h(&Value::Int(7)), h(&Value::Date(7)));
+        // Int and Double that compare equal hash alike too.
+        assert_eq!(Value::Int(3), Value::Double(3.0));
+        assert_eq!(h(&Value::Int(3)), h(&Value::Double(3.0)));
+        assert_eq!(h(&Value::Int(0)), h(&Value::Double(-0.0)));
+        assert_eq!(h(&Value::Date(-2)), h(&Value::Double(-2.0)));
+        let big = (1i64 << 53) + 1;
+        assert_eq!(Value::Int(big), Value::Double((1i64 << 53) as f64));
+        assert_eq!(h(&Value::Int(big)), h(&Value::Double((1i64 << 53) as f64)));
+        assert_eq!(h(&Value::Int(i64::MAX)), h(&Value::Double(i64::MAX as f64)));
+    }
+
+    #[test]
+    fn sequential_ints_spread_under_fx_hash() {
+        // Pack statistics keep Ints in an Fx-hashed set: sequential ids
+        // must not share the low bits the table indexes buckets by.
+        use std::hash::BuildHasher;
+        let mut low = crate::FxHashSet::default();
+        for v in 0..1024 {
+            low.insert(crate::FxBuildHasher::default().hash_one(Value::Int(v)) & 1023);
+        }
+        assert!(low.len() > 512, "{} distinct low-bit patterns", low.len());
+    }
+
+    #[test]
+    fn civil_from_days_names_the_year() {
+        for (s, y) in [
+            ("0001-01-01", 1),
+            ("1970-01-01", 1970),
+            ("1995-06-17", 1995),
+            ("9999-12-31", 9999),
+        ] {
+            assert_eq!(civil_from_days(parse_date_str(s).unwrap()).0, y, "{s}");
+        }
+        assert_eq!(civil_from_days(-1), (1969, 12, 31));
+        assert_eq!(civil_from_days(-719_468), (0, 3, 1));
+        // Total over i64: no overflow at the extremes.
+        assert!(civil_from_days(i64::MAX).0 > 9999);
+        assert!(civil_from_days(i64::MIN).0 < 0);
     }
 }

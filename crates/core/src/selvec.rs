@@ -6,8 +6,7 @@
 //! offsets, then progressively refined by each predicate evaluated on
 //! the *compressed* packs, and finally used for a single late gather of
 //! the payload columns. Offsets are strictly increasing `u32`s, which
-//! makes conjunction a `retain`, disjunction a sorted merge, and
-//! negation a sorted difference.
+//! makes conjunction a `retain` and disjunction a sorted merge.
 
 /// A sorted, duplicate-free set of row offsets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,24 +96,6 @@ impl SelVec {
         out.extend_from_slice(&b[j..]);
         SelVec { idx: out }
     }
-
-    /// Sorted difference `self \ other` (negation within a parent
-    /// selection).
-    pub fn difference(&self, other: &SelVec) -> SelVec {
-        let mut out = Vec::with_capacity(self.idx.len());
-        let mut j = 0;
-        for &i in &self.idx {
-            while j < other.idx.len() && other.idx[j] < i {
-                j += 1;
-            }
-            if j < other.idx.len() && other.idx[j] == i {
-                j += 1;
-            } else {
-                out.push(i);
-            }
-        }
-        SelVec { idx: out }
-    }
 }
 
 impl std::ops::Deref for SelVec {
@@ -144,16 +125,13 @@ mod tests {
     }
 
     #[test]
-    fn union_and_difference() {
+    fn union_merges_sorted() {
         let a = SelVec::from_sorted(vec![0, 2, 4, 7]);
         let b = SelVec::from_sorted(vec![1, 2, 5, 7, 9]);
         assert_eq!(a.union(&b).as_slice(), &[0, 1, 2, 4, 5, 7, 9]);
-        assert_eq!(a.difference(&b).as_slice(), &[0, 4]);
-        assert_eq!(b.difference(&a).as_slice(), &[1, 5, 9]);
         let empty = SelVec::new();
         assert_eq!(a.union(&empty), a);
-        assert_eq!(a.difference(&empty), a);
-        assert!(empty.difference(&a).is_empty());
+        assert_eq!(empty.union(&a), a);
     }
 
     #[test]

@@ -13,12 +13,15 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// An empty batch with the given column types.
-    pub fn empty(types: &[DataType]) -> Batch {
-        Batch {
-            cols: types.iter().map(|t| ColumnData::new(*t)).collect(),
-            len: 0,
+    /// A column of `vals`, typed by its first non-null value (Int when
+    /// every value is NULL): a leading NULL says nothing of the rest.
+    pub fn column_of<'v>(vals: impl Iterator<Item = &'v Value> + Clone) -> Result<ColumnData> {
+        let ty = vals.clone().find_map(Value::data_type);
+        let mut col = ColumnData::new(ty.unwrap_or(DataType::Int));
+        for (r, v) in vals.enumerate() {
+            col.set(r, v)?;
         }
+        Ok(col)
     }
 
     /// Column count.
@@ -29,15 +32,6 @@ impl Batch {
     /// Read one row as values (tests, row-format sinks).
     pub fn row(&self, r: usize) -> Vec<Value> {
         self.cols.iter().map(|c| c.get(r)).collect()
-    }
-
-    /// Append a row of values.
-    pub fn push_values(&mut self, values: &[Value]) -> Result<()> {
-        for (dst, v) in self.cols.iter_mut().zip(values) {
-            dst.set(self.len, v)?;
-        }
-        self.len += 1;
-        Ok(())
     }
 
     /// Keep only rows where `mask` is true.
@@ -114,16 +108,32 @@ mod tests {
     use super::*;
 
     fn sample() -> Batch {
-        let mut b = Batch::empty(&[DataType::Int, DataType::Str]);
-        for i in 0..5 {
-            b.push_values(&[Value::Int(i), Value::Str(format!("r{i}"))])
-                .unwrap();
+        let ints: Vec<Value> = (0..5).map(Value::Int).collect();
+        let strs: Vec<Value> = (0..5).map(|i| Value::Str(format!("r{i}"))).collect();
+        Batch {
+            cols: vec![
+                Batch::column_of(ints.iter()).unwrap(),
+                Batch::column_of(strs.iter()).unwrap(),
+            ],
+            len: 5,
         }
-        b
     }
 
     #[test]
-    fn push_and_row() {
+    fn column_of_types_by_the_first_value() {
+        let vals = [Value::Null, Value::Double(1.5), Value::Null];
+        let c = Batch::column_of(vals.iter()).unwrap();
+        assert_eq!(c.data_type(), DataType::Double);
+        assert_eq!((c.len(), c.get(1)), (3, Value::Double(1.5)));
+        let none = Batch::column_of([Value::Null].iter()).unwrap();
+        assert_eq!(
+            (none.data_type(), none.get(0)),
+            (DataType::Int, Value::Null)
+        );
+    }
+
+    #[test]
+    fn row_reads_every_column() {
         let b = sample();
         assert_eq!(b.len, 5);
         assert_eq!(b.row(2), vec![Value::Int(2), Value::Str("r2".into())]);

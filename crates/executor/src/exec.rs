@@ -323,34 +323,53 @@ enum Step {
 
 impl Step {
     /// The step's output for `b`; `None` once no row is left.
-    fn apply(&self, b: &Batch, late_materialization: bool) -> Result<Option<Batch>> {
+    fn apply(&self, b: Cow<Batch>, late_materialization: bool) -> Result<Option<Batch>> {
         let out = match self {
             Step::Filter(pred) => {
                 // Selection-vector path: typed kernels (dictionary-aware
                 // for strings) straight to one gather per column.
-                let views = kernels::batch_views(b);
+                let views = kernels::batch_views(&b);
                 if late_materialization && kernels::compressible(pred, &views) {
                     b.take(&kernels::eval_sel(pred, &views, SelVec::identity(b.len))?)
                 } else {
-                    b.filter(&pred.eval_mask(b)?)?
+                    b.filter(&pred.eval_mask(&b)?)?
                 }
             }
-            Step::Project(exprs) => Batch {
-                cols: exprs.iter().map(|e| e.eval(b)).collect::<Result<_>>()?,
-                len: b.len,
-            },
+            Step::Project(exprs) => project(exprs, b)?,
             Step::Probe { keys, table, cols } => {
-                let (lidx, ridx) = probe_pairs(b, keys, table);
+                let (lidx, ridx) = probe_pairs(&b, keys, table);
                 // Stop before the gather: an empty build side may have no
                 // columns at all.
                 if lidx.is_empty() {
                     return Ok(None);
                 }
-                gather_joined(b, &table.build, &lidx, &ridx, cols)
+                gather_joined(&b, &table.build, &lidx, &ridx, cols)
             }
         };
         Ok((out.len > 0).then_some(out))
     }
+}
+
+/// `exprs` over `b`. A plain column moves out of `b` at its last
+/// reference instead of being copied.
+fn project(exprs: &[Expr], b: Cow<Batch>) -> Result<Batch> {
+    let mut cols = exprs
+        .iter()
+        .map(|e| match e {
+            Expr::Col(_) => Ok(None),
+            e => e.eval(&b).map(|c| Some(c.into_owned())),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let len = b.len;
+    let mut src: Vec<_> = b.into_owned().cols.into_iter().map(Some).collect();
+    for (j, e) in exprs.iter().enumerate() {
+        if let Expr::Col(i) = e {
+            let (again, c) = (exprs[j + 1..].contains(e), &mut src[*i]);
+            cols[j] = if again { c.clone() } else { c.take() };
+        }
+    }
+    let cols = cols.into_iter().flatten().collect();
+    Ok(Batch { cols, len })
 }
 
 /// One pipeline, ready to dispatch: its source, its steps bottom-up
@@ -434,7 +453,7 @@ impl Pipeline {
             Source::Batch(b) => Cow::Borrowed(b),
         };
         for (op, step) in &self.steps {
-            match step.apply(&b, self.late_materialization)? {
+            match step.apply(b, self.late_materialization)? {
                 Some(out) => {
                     self.stats.rows(*op, out.len);
                     b = Cow::Owned(out);
@@ -736,10 +755,15 @@ fn probe_pairs(lb: &Batch, left_keys: &[usize], jt: &JoinTable) -> (Vec<u32>, Ve
                         }
                     }
                 }
+                // A Double key equals an Int only at the Int's exact f64
+                // image (`Value`'s order); a string never does.
                 other => {
                     for r in 0..lb.len {
-                        if let Some(k) = other.get(r).as_int() {
-                            probe_one(r, k);
+                        if let Value::Double(d) = other.get(r) {
+                            let k = d as i64;
+                            if (k as f64).total_cmp(&d).is_eq() {
+                                probe_one(r, k);
+                            }
                         }
                     }
                 }
@@ -834,10 +858,6 @@ impl Acc {
                 acc.update_f64(*d)
             }
             (Acc::Count(n), Some(x)) if !x.is_null() => *n += 1,
-            (Acc::Avg { sum, n }, Some(Value::Date(d))) => {
-                *sum += *d as f64;
-                *n += 1;
-            }
             (Acc::CountDistinct(set), Some(x)) if !x.is_null() => {
                 set.insert(x.clone());
             }
@@ -1044,15 +1064,6 @@ struct AggState {
     groups: Groups,
 }
 
-/// `e` over `b`, borrowing a plain column reference instead of copying
-/// it.
-fn eval_cow<'a>(e: &Expr, b: &'a Batch) -> Result<Cow<'a, ColumnData>> {
-    match e {
-        Expr::Col(i) => Ok(Cow::Borrowed(&b.cols[*i])),
-        _ => e.eval(b).map(Cow::Owned),
-    }
-}
-
 impl AggState {
     fn new(n_keys: usize) -> AggState {
         AggState {
@@ -1130,11 +1141,11 @@ impl AggState {
     fn fold(&mut self, b: &Batch, group_by: &[Expr], aggs: &[AggCall]) -> Result<()> {
         let keys = group_by
             .iter()
-            .map(|e| eval_cow(e, b))
+            .map(|e| e.eval(b))
             .collect::<Result<Vec<_>>>()?;
         let args = aggs
             .iter()
-            .map(|a| a.arg.as_ref().map(|e| eval_cow(e, b)).transpose())
+            .map(|a| a.arg.as_ref().map(|e| e.eval(b)).transpose())
             .collect::<Result<Vec<_>>>()?;
         let gids = self.group_ids(&keys, b.len, aggs);
         let n = aggs.len();
@@ -1237,22 +1248,10 @@ impl AggState {
             None => &keys[g * nk + c],
             Some(j) => &results[g * na + j],
         };
+        // A leading group can aggregate to NULL (SUM over an all-null
+        // group) while a later one is a double.
         let cols = (0..nk + na)
-            .map(|c| {
-                // Column types come from the first non-null value in
-                // each column, not the first row: a leading group can
-                // aggregate to NULL (e.g. SUM over an all-null group)
-                // while a later one is a double.
-                let ty = order
-                    .iter()
-                    .find_map(|&g| value(g, c).data_type())
-                    .unwrap_or(imci_common::DataType::Int);
-                let mut col = ColumnData::new(ty);
-                for (r, &g) in order.iter().enumerate() {
-                    col.set(r, value(g, c))?;
-                }
-                Ok(col)
-            })
+            .map(|c| Batch::column_of(order.iter().map(|&g| value(g, c))))
             .collect::<Result<Vec<_>>>()?;
         Ok(Batch {
             cols,
@@ -1676,10 +1675,11 @@ mod tests {
             arg: None,
             distinct: false,
         }];
-        let mut keys = Batch::empty(&[DataType::Int]);
-        for k in [Value::Int(3), Value::Null, Value::Int(3)] {
-            keys.push_values(&[k]).unwrap();
-        }
+        let vals = [Value::Int(3), Value::Null, Value::Int(3)];
+        let keys = Batch {
+            cols: vec![Batch::column_of(vals.iter()).unwrap()],
+            len: 3,
+        };
         let mut state = AggState::new(1);
         state.fold(&keys, &[Expr::col(0)], &count).unwrap();
         assert!(matches!(state.ids, GroupIds::Int { .. }));

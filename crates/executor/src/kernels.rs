@@ -16,10 +16,14 @@
 //!   data, and a null-free pack whose range proves **every** row
 //!   matches keeps the whole selection — the dual of pruning.
 //!
-//! Conjunctions cascade (each conjunct sees only prior survivors),
-//! disjunctions merge sorted selections, and negation is a sorted
-//! difference against the parent selection — which reproduces
-//! `eval_mask`'s collapse of SQL NULL to false exactly.
+//! Conjunctions cascade (each conjunct sees only prior survivors) and
+//! disjunctions merge sorted selections. Negation walks the *false* set
+//! instead of subtracting the true set, so a NULL row stays out of both
+//! (SQL's NOT UNKNOWN is UNKNOWN): a comparison takes its negated
+//! operator, `BETWEEN` becomes `< lo OR > hi`, `NOT IN` and `NOT LIKE`
+//! keep only non-null misses (none when the list holds NULL), `IS [NOT]
+//! NULL` flips, and De Morgan swaps cascade and merge under `AND`/`OR`.
+//! The selection is exactly the rows where `Expr::eval` is true.
 //!
 //! Partial (uncompressed) columns run the same kernels over the typed
 //! vectors. Expressions outside the supported shapes (column/column
@@ -97,65 +101,68 @@ fn inlist_supported(col: &ColView, list: &[Value]) -> bool {
     list.iter().all(|v| v.is_null() || ok(v))
 }
 
-/// Refine `sel` to the rows of `cols` satisfying `expr`. Exactly
-/// mirrors `Expr::eval_mask` over the materialized columns (WHERE-clause
-/// semantics: NULL collapses to false at every predicate).
+/// Refine `sel` to the rows of `cols` where `expr` is true — exactly
+/// the rows `Expr::eval_mask` keeps over the materialized columns.
 pub fn eval_sel(expr: &Expr, cols: &[ColView], sel: SelVec) -> Result<SelVec> {
+    sel_where(expr, true, cols, sel)
+}
+
+/// The rows of `sel` where `expr` is `want` — never where it is NULL.
+fn sel_where(expr: &Expr, want: bool, cols: &[ColView], sel: SelVec) -> Result<SelVec> {
+    let col = |a: &Expr| match a {
+        Expr::Col(i) => Ok(&cols[*i]),
+        _ => Err(not_compressible()),
+    };
     match expr {
-        Expr::And(a, b) => {
-            let s = eval_sel(a, cols, sel)?;
+        // AND's true set and OR's false set cascade; the duals merge.
+        Expr::And(a, b) | Expr::Or(a, b) if want == matches!(expr, Expr::And(..)) => {
+            let s = sel_where(a, want, cols, sel)?;
             if s.is_empty() {
                 return Ok(s);
             }
-            eval_sel(b, cols, s)
+            sel_where(b, want, cols, s)
         }
-        Expr::Or(a, b) => {
-            let sa = eval_sel(a, cols, sel.clone())?;
-            let sb = eval_sel(b, cols, sel)?;
-            Ok(sa.union(&sb))
+        Expr::And(a, b) | Expr::Or(a, b) => {
+            let sa = sel_where(a, want, cols, sel.clone())?;
+            Ok(sa.union(&sel_where(b, want, cols, sel)?))
         }
-        Expr::Not(a) => {
-            let sa = eval_sel(a, cols, sel.clone())?;
-            Ok(sel.difference(&sa))
+        Expr::Not(a) => sel_where(a, !want, cols, sel),
+        Expr::Cmp(op, a, b) => {
+            let op = if want { *op } else { op.negate() };
+            match (&**a, &**b) {
+                (Expr::Col(i), Expr::Lit(v)) => Ok(cmp_sel(op, &cols[*i], v, sel)),
+                (Expr::Lit(v), Expr::Col(i)) => Ok(cmp_sel(op.flip(), &cols[*i], v, sel)),
+                _ => Err(not_compressible()),
+            }
         }
-        Expr::Cmp(op, a, b) => match (&**a, &**b) {
-            (Expr::Col(i), Expr::Lit(v)) => Ok(cmp_sel(*op, &cols[*i], v, sel)),
-            (Expr::Lit(v), Expr::Col(i)) => Ok(cmp_sel(op.flip(), &cols[*i], v, sel)),
-            _ => Err(not_compressible()),
-        },
-        // BETWEEN is sugar for `>= lo AND <= hi` (same as eval_mask).
-        Expr::Between(a, lo, hi) => match &**a {
-            Expr::Col(i) => {
-                // Pack Meta cut in both directions before any row work:
-                // range-disjoint packs empty the selection, range-covered
-                // null-free packs keep it whole.
-                if let ColView::Pack(p) = &cols[*i] {
-                    if !lo.is_null() && !hi.is_null() {
-                        if !p.meta.may_contain_range(Some(lo), Some(hi)) {
-                            return Ok(SelVec::new());
-                        }
-                        if p.meta.all_in_range(Some(lo), Some(hi)) {
-                            return Ok(sel);
-                        }
+        Expr::Between(a, lo, hi) if !want => {
+            let c = col(a)?;
+            let below = cmp_sel(CmpOp::Lt, c, lo, sel.clone());
+            Ok(below.union(&cmp_sel(CmpOp::Gt, c, hi, sel)))
+        }
+        Expr::Between(a, lo, hi) => {
+            let c = col(a)?;
+            // Pack Meta cut in both directions before any row work:
+            // range-disjoint packs empty the selection, range-covered
+            // null-free packs keep it whole.
+            if let ColView::Pack(p) = c {
+                if !lo.is_null() && !hi.is_null() {
+                    if !p.meta.may_contain_range(Some(lo), Some(hi)) {
+                        return Ok(SelVec::new());
+                    }
+                    if p.meta.all_in_range(Some(lo), Some(hi)) {
+                        return Ok(sel);
                     }
                 }
-                let s = cmp_sel(CmpOp::Ge, &cols[*i], lo, sel);
-                Ok(cmp_sel(CmpOp::Le, &cols[*i], hi, s))
             }
-            _ => Err(not_compressible()),
-        },
-        Expr::InList(a, vs) => match &**a {
-            Expr::Col(i) => Ok(inlist_sel(&cols[*i], vs, sel)),
-            _ => Err(not_compressible()),
-        },
-        Expr::Like(a, pat) => match &**a {
-            Expr::Col(i) => Ok(like_sel(&cols[*i], pat, sel)),
-            _ => Err(not_compressible()),
-        },
-        Expr::IsNull(a, negated) => match &**a {
-            Expr::Col(i) => Ok(isnull_sel(&cols[*i], *negated, sel)),
-            _ => Err(not_compressible()),
-        },
+            let s = cmp_sel(CmpOp::Ge, c, lo, sel);
+            Ok(cmp_sel(CmpOp::Le, c, hi, s))
+        }
+        // A miss against a list holding NULL is UNKNOWN, never false.
+        Expr::InList(_, vs) if !want && vs.iter().any(Value::is_null) => Ok(SelVec::new()),
+        Expr::InList(a, vs) => Ok(inlist_sel(col(a)?, vs, want, sel)),
+        Expr::Like(a, pat) => Ok(like_sel(col(a)?, pat, want, sel)),
+        Expr::IsNull(a, negated) => Ok(isnull_sel(col(a)?, *negated == want, sel)),
         _ => Err(not_compressible()),
     }
 }
@@ -390,7 +397,8 @@ fn cmp_sel(op: CmpOp, col: &ColView, lit: &Value, mut sel: SelVec) -> SelVec {
     }
 }
 
-fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
+/// The non-null rows whose membership in `list` is `want`.
+fn inlist_sel(col: &ColView, list: &[Value], want: bool, mut sel: SelVec) -> SelVec {
     match col {
         ColView::Pack(p) => match &p.data {
             PackData::Int {
@@ -410,17 +418,14 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
                     .collect();
                 targets.sort_unstable();
                 targets.dedup();
-                if targets.is_empty() {
+                if targets.is_empty() && want {
                     return SelVec::new();
                 }
-                let no_nulls = p.meta.null_count == 0;
-                if no_nulls {
-                    sel.retain(|i| targets.binary_search(&packed.get(i as usize)).is_ok());
+                let hit = |i: u32| targets.binary_search(&packed.get(i as usize)).is_ok() == want;
+                if p.meta.null_count == 0 {
+                    sel.retain(hit);
                 } else {
-                    sel.retain(|i| {
-                        !nulls.get(i as usize)
-                            && targets.binary_search(&packed.get(i as usize)).is_ok()
-                    });
+                    sel.retain(|i| !nulls.get(i as usize) && hit(i));
                 }
                 sel
             }
@@ -434,7 +439,7 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
                     .collect();
                 sel.retain(|i| {
                     let i = i as usize;
-                    !nulls.get(i) && targets.iter().any(|t| vals[i].total_cmp(t).is_eq())
+                    !nulls.get(i) && targets.iter().any(|t| vals[i].total_cmp(t).is_eq()) == want
                 });
                 sel
             }
@@ -445,7 +450,7 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
                     .collect();
                 sel.retain(|i| {
                     let i = i as usize;
-                    !nulls.get(i) && matches[codes.get(i) as usize]
+                    !nulls.get(i) && matches[codes.get(i) as usize] == want
                 });
                 sel
             }
@@ -457,7 +462,7 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
                 targets.dedup();
                 sel.retain(|i| {
                     let i = i as usize;
-                    i < vals.len() && !nulls[i] && targets.binary_search(&vals[i]).is_ok()
+                    i < vals.len() && !nulls[i] && targets.binary_search(&vals[i]).is_ok() == want
                 });
                 sel
             }
@@ -473,7 +478,7 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
                     let i = i as usize;
                     i < vals.len()
                         && !nulls[i]
-                        && targets.iter().any(|t| vals[i].total_cmp(t).is_eq())
+                        && targets.iter().any(|t| vals[i].total_cmp(t).is_eq()) == want
                 });
                 sel
             }
@@ -485,7 +490,7 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
                     .collect();
                 sel.retain(|i| {
                     let i = i as usize;
-                    i < codes.len() && !nulls[i] && matches[codes[i] as usize]
+                    i < codes.len() && !nulls[i] && matches[codes[i] as usize] == want
                 });
                 sel
             }
@@ -493,31 +498,31 @@ fn inlist_sel(col: &ColView, list: &[Value], mut sel: SelVec) -> SelVec {
     }
 }
 
-fn like_sel(col: &ColView, pat: &LikePattern, mut sel: SelVec) -> SelVec {
+/// The non-null rows whose match against `pat` is `want`.
+fn like_sel(col: &ColView, pat: &LikePattern, want: bool, mut sel: SelVec) -> SelVec {
     match col {
-        ColView::Pack(p) => match &p.data {
-            PackData::Str { codes, dict, nulls } => {
-                let matches: Vec<bool> = dict.iter().map(|e| pat.matches(e)).collect();
-                sel.retain(|i| {
-                    let i = i as usize;
-                    !nulls.get(i) && matches[codes.get(i) as usize]
-                });
-                sel
-            }
-            // LIKE over a non-string column is constant false.
-            _ => SelVec::new(),
-        },
-        ColView::Col(c) => match c {
-            ColumnData::Str { codes, nulls, dict } => {
-                let matches: Vec<bool> = dict.strings().iter().map(|e| pat.matches(e)).collect();
-                sel.retain(|i| {
-                    let i = i as usize;
-                    i < codes.len() && !nulls[i] && matches[codes[i] as usize]
-                });
-                sel
-            }
-            _ => SelVec::new(),
-        },
+        ColView::Pack(Pack {
+            data: PackData::Str { codes, dict, nulls },
+            ..
+        }) => {
+            let matches: Vec<bool> = dict.iter().map(|e| pat.matches(e)).collect();
+            sel.retain(|i| {
+                let i = i as usize;
+                !nulls.get(i) && matches[codes.get(i) as usize] == want
+            });
+            sel
+        }
+        ColView::Col(ColumnData::Str { codes, nulls, dict }) => {
+            let matches: Vec<bool> = dict.strings().iter().map(|e| pat.matches(e)).collect();
+            sel.retain(|i| {
+                let i = i as usize;
+                i < codes.len() && !nulls[i] && matches[codes[i] as usize] == want
+            });
+            sel
+        }
+        // LIKE over a non-string column is false on every value.
+        _ if want => SelVec::new(),
+        _ => isnull_sel(col, true, sel),
     }
 }
 
@@ -657,10 +662,22 @@ mod tests {
             Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(5i64))),
         );
         assert_eq!(sel_of(&p, &or, SelVec::identity(5)), vec![0, 4]);
-        // NOT over a predicate that skipped the NULL row keeps the NULL
-        // row — same collapse eval_mask performs.
+        // NOT over a predicate on the NULL row is UNKNOWN: the row
+        // stays out of both the true and the false set.
         let not = Expr::Not(Box::new(and));
-        assert_eq!(sel_of(&p, &not, SelVec::identity(5)), vec![0, 2, 4]);
+        assert_eq!(sel_of(&p, &not, SelVec::identity(5)), vec![0, 4]);
+        let not_between = Expr::Not(Box::new(Expr::Between(
+            Box::new(Expr::col(0)),
+            Value::Int(2),
+            Value::Int(4),
+        )));
+        assert_eq!(sel_of(&p, &not_between, SelVec::identity(5)), vec![0, 4]);
+        let not_in =
+            |list: Vec<Value>| Expr::Not(Box::new(Expr::InList(Box::new(Expr::col(0)), list)));
+        let in_null = not_in(vec![Value::Int(1), Value::Null]);
+        assert!(sel_of(&p, &in_null, SelVec::identity(5)).is_empty());
+        let in_plain = not_in(vec![Value::Int(1), Value::Int(4)]);
+        assert_eq!(sel_of(&p, &in_plain, SelVec::identity(5)), vec![1, 4]);
         // BETWEEN == >= AND <=
         let between = Expr::Between(Box::new(Expr::col(0)), Value::Int(2), Value::Int(4));
         assert_eq!(sel_of(&p, &between, SelVec::identity(5)), vec![1, 3]);

@@ -26,7 +26,7 @@ use std::sync::Arc;
 pub use ast::{SelectStmt, Statement};
 pub use parser::{is_read_only, parse};
 pub use plan::{bind_select, to_column_plan, BoundQuery, Stats};
-pub use row_exec::{eval_row, execute_row};
+pub use row_exec::execute_row;
 
 /// Which engine executed a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,16 +136,22 @@ impl QueryEngine {
         match stmt {
             Statement::Select(s) => {
                 let (q, route) = self.plan(s, opts)?;
-                let (rows, engine) = match route {
+                let (mut rows, engine) = match route {
                     Route::Column(plan, ctx) => {
                         let out = imci_executor::execute(&plan, &ctx)?;
                         (
-                            (0..out.len).map(|r| out.row(r)).collect(),
+                            (0..out.len).map(|r| out.row(r)).collect::<Vec<_>>(),
                             EngineChoice::Column,
                         )
                     }
                     Route::Row => (execute_row(&q, &self.row)?, EngineChoice::Row),
                 };
+                // Both engines carry a DATE as Int.
+                for (v, t) in rows.iter_mut().flat_map(|r| r.iter_mut().zip(&q.out_types)) {
+                    if let (Value::Int(d), DataType::Date) = (&*v, t) {
+                        *v = Value::Date(*d);
+                    }
+                }
                 Ok(QueryResult {
                     columns: q.out_names,
                     rows,
@@ -698,6 +704,106 @@ mod tests {
             assert!(
                 matches!(&res, Err(Error::Execution(m)) if m.contains("BIGINT")),
                 "{engine:?}: {res:?}"
+            );
+        }
+    }
+
+    /// `t(id, c, d, dt)` with `c` = 1, 5, NULL, 3, 2^62 and `d = id`,
+    /// mirrored into the column index.
+    fn probe_node() -> QueryEngine {
+        let qe = node();
+        run(
+            &qe,
+            "CREATE TABLE t (id INT NOT NULL, c INT, d DOUBLE, dt DATE,
+             PRIMARY KEY(id), KEY COLUMN_INDEX(id, c, d, dt))",
+        )
+        .unwrap();
+        let cs = ["1", "5", "NULL", "3", &(1i64 << 62).to_string()];
+        for (id, c) in cs.iter().enumerate() {
+            let dt = format!("'1995-06-{:02}'", id + 10);
+            let sql = format!("INSERT INTO t VALUES ({id}, {c}, {id}.0, {dt})");
+            run(&qe, &sql).unwrap();
+        }
+        mirror(&qe, "t");
+        qe
+    }
+
+    /// `sql` on each engine in turn.
+    fn on_both(qe: &QueryEngine, sql: &str) -> [Result<Vec<Vec<Value>>>; 2] {
+        [EngineChoice::Row, EngineChoice::Column].map(|engine| {
+            let res = qe.run(sql, &QueryOptions::forced(Some(engine)))?;
+            assert_eq!(res.engine, engine, "{sql}");
+            Ok(res.rows)
+        })
+    }
+
+    fn ids(ids: &[i64]) -> Vec<Vec<Value>> {
+        ids.iter().map(|&i| vec![Value::Int(i)]).collect()
+    }
+
+    #[test]
+    fn int_equals_double_on_both_engines() {
+        let qe = probe_node();
+        // c = 1 and c = 3 meet d = 1.0 and d = 3.0.
+        let join = "SELECT a.id FROM t a JOIN t b ON a.c = b.d ORDER BY 1";
+        let inl = "SELECT id FROM t WHERE c IN (3.0)";
+        for (sql, want) in [(join, ids(&[0, 3])), (inl, ids(&[3]))] {
+            for got in on_both(&qe, sql) {
+                assert_eq!(got.unwrap(), want, "{sql}");
+            }
+        }
+    }
+
+    /// `sql` returns `want` on both engines.
+    fn both_give(sql: &str, want: Vec<Vec<Value>>) {
+        for got in on_both(&probe_node(), sql) {
+            assert_eq!(got.unwrap(), want, "{sql}");
+        }
+    }
+
+    #[test]
+    fn comparison_with_null_is_null_on_both_engines() {
+        let gt3 = [0, 1, -1, 0, 1].map(|v| match v {
+            -1 => Value::Null,
+            v => Value::Int(v),
+        });
+        let want = (0..).zip(gt3).map(|(id, v)| vec![Value::Int(id), v]);
+        both_give("SELECT id, c > 3 FROM t ORDER BY id", want.collect());
+    }
+
+    #[test]
+    fn not_in_a_list_holding_null_selects_nothing_on_both_engines() {
+        // 1 IN (1, NULL) is TRUE, 5 IN (1, NULL) is UNKNOWN: NOT keeps neither.
+        both_give("SELECT id FROM t WHERE NOT (c IN (1, NULL))", ids(&[]));
+    }
+
+    #[test]
+    fn not_over_null_drops_the_row_on_both_engines() {
+        let sql = "SELECT id FROM t WHERE c BETWEEN 1 AND 4 OR NOT (c > 0) ORDER BY id";
+        both_give(sql, ids(&[0, 3]));
+    }
+
+    #[test]
+    fn integer_overflow_fails_on_both_engines() {
+        for got in on_both(&probe_node(), "SELECT c * 4 FROM t") {
+            assert!(
+                matches!(&got, Err(Error::Execution(m)) if m.contains("BIGINT")),
+                "{got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn date_output_is_a_date_on_both_engines() {
+        // `Value::Int(d) == Value::Date(d)`, so match the variant.
+        let day = imci_common::value::parse_date_str("1995-06-13").unwrap();
+        let sql = "SELECT dt, MIN(dt) FROM t WHERE id = 3 GROUP BY dt";
+        for got in on_both(&probe_node(), sql) {
+            let got = got.unwrap();
+            assert_eq!(got, vec![vec![Value::Date(day); 2]]);
+            assert!(
+                got[0].iter().all(|v| matches!(v, Value::Date(_))),
+                "{got:?}"
             );
         }
     }

@@ -128,6 +128,9 @@ pub struct BoundQuery {
     pub output: Vec<Expr>,
     /// Output column names.
     pub out_names: Vec<String>,
+    /// Output logical types. Both executors carry a DATE as Int; this
+    /// is how a result turns it back into [`Value::Date`].
+    pub out_types: Vec<DataType>,
     /// ORDER BY: (output position, desc).
     pub order_by: Vec<(usize, bool)>,
     /// LIMIT.
@@ -403,6 +406,11 @@ pub fn bind_select(
     let mut aggs: Vec<AggCall> = Vec::new();
     let mut output = Vec::with_capacity(stmt.items.len());
     let mut out_names = Vec::with_capacity(stmt.items.len());
+    let out_types = stmt
+        .items
+        .iter()
+        .map(|i| logical_type(&i.expr, &binder))
+        .collect();
     if has_aggs || !group_by.is_empty() {
         for (i, item) in stmt.items.iter().enumerate() {
             let e = bind_post_agg(
@@ -472,6 +480,7 @@ pub fn bind_select(
         aggs,
         output,
         out_names,
+        out_types,
         order_by,
         limit: stmt.limit,
         row_cost,
@@ -677,6 +686,30 @@ fn bind_scalar(
             ))
         }
     })
+}
+
+/// What an expression's values mean: a column keeps its declared type
+/// through MIN/MAX, and arithmetic is Int unless it divides or meets a
+/// Double.
+fn logical_type(e: &AstExpr, b: &Binder) -> DataType {
+    use DataType::{Double, Int};
+    let double = |x: &AstExpr| logical_type(x, b) == Double;
+    let arith = |op: &str| matches!(op, "+" | "-" | "*");
+    match e {
+        AstExpr::Col(_) => expr_col_type(e, b).unwrap_or(Int),
+        AstExpr::Lit(v) => v.data_type().unwrap_or(Int),
+        AstExpr::Agg { func, arg, .. } => match (func, arg) {
+            (AggName::Min | AggName::Max, Some(a)) => logical_type(a, b),
+            (AggName::Avg, _) => Double,
+            (AggName::Sum, Some(a)) if double(a) => Double,
+            _ => Int,
+        },
+        AstExpr::Neg(x) if double(x) => Double,
+        AstExpr::Binary { op, l, r } if op == "/" || arith(op) && (double(l) || double(r)) => {
+            Double
+        }
+        _ => Int,
+    }
 }
 
 fn expr_col_type(e: &AstExpr, b: &Binder) -> Option<DataType> {

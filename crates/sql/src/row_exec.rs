@@ -1,105 +1,62 @@
 //! Row-at-a-time executor — the "row-based PolarDB" baseline engine.
 //!
 //! Interprets a [`BoundQuery`] directly against the row store: index
-//! nested-loop joins (PK or secondary probes when available), early
-//! materialization, tuple-at-a-time expression evaluation. Deliberately
-//! classic: this is the engine whose Fig. 9 execution times the column
-//! engine is compared against, and the engine the optimizer picks for
-//! point queries (paper §6.1).
+//! nested-loop joins (PK or secondary probes when available) and early
+//! materialization. Deliberately classic: this is the engine whose
+//! Fig. 9 execution times the column engine is compared against, and
+//! the engine the optimizer picks for point queries (paper §6.1).
+//!
+//! Expressions mean the same here as on the column engine because they
+//! evaluate through the same [`Expr::eval`], over batches built from the
+//! fetched rows: each table's candidates for its local filter, the
+//! joined rows for the residual, all rows for the group keys and
+//! aggregate arguments, and the aggregate rows for the outputs.
 
 use crate::plan::{join_probe, AccessPath, BoundQuery, BoundTable, JoinProbe};
 use imci_common::{Error, Result, Value};
-use imci_executor::{Acc, ArithOp, Expr};
+use imci_executor::{Acc, Batch, Expr};
 use rowstore::RowEngine;
 
-/// Evaluate a bound expression against a single flat row.
-pub fn eval_row(e: &Expr, row: &[Value]) -> Result<Value> {
-    Ok(match e {
-        Expr::Col(i) => row
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| Error::Execution(format!("row col {i} out of range")))?,
-        Expr::Lit(v) => v.clone(),
-        Expr::Cmp(op, a, b) => {
-            let (x, y) = (eval_row(a, row)?, eval_row(b, row)?);
-            match x.sql_cmp(&y) {
-                Some(ord) => Value::Int(op.test(ord) as i64),
-                None => Value::Null,
-            }
-        }
-        Expr::Arith(op, a, b) => {
-            let (x, y) = (eval_row(a, row)?, eval_row(b, row)?);
-            if x.is_null() || y.is_null() {
-                return Ok(Value::Null);
-            }
-            // Integer fast path; Div, and any non-integer operand, take
-            // the float path below.
-            match (op, &x, &y) {
-                (ArithOp::Add, Value::Int(i), Value::Int(j)) => return Ok(Value::Int(i + j)),
-                (ArithOp::Sub, Value::Int(i), Value::Int(j)) => return Ok(Value::Int(i - j)),
-                (ArithOp::Mul, Value::Int(i), Value::Int(j)) => return Ok(Value::Int(i * j)),
-                _ => {}
-            }
-            let (i, j) = (
-                x.as_f64()
-                    .ok_or_else(|| Error::Execution(format!("arith on {x}")))?,
-                y.as_f64()
-                    .ok_or_else(|| Error::Execution(format!("arith on {y}")))?,
-            );
-            Value::Double(match op {
-                ArithOp::Add => i + j,
-                ArithOp::Sub => i - j,
-                ArithOp::Mul => i * j,
-                ArithOp::Div => i / j,
-            })
-        }
-        Expr::And(a, b) => {
-            let x = truthy(&eval_row(a, row)?);
-            let y = truthy(&eval_row(b, row)?);
-            Value::Int((x && y) as i64)
-        }
-        Expr::Or(a, b) => {
-            let x = truthy(&eval_row(a, row)?);
-            let y = truthy(&eval_row(b, row)?);
-            Value::Int((x || y) as i64)
-        }
-        Expr::Not(a) => Value::Int(!truthy(&eval_row(a, row)?) as i64),
-        Expr::Between(a, lo, hi) => {
-            let v = eval_row(a, row)?;
-            match (v.sql_cmp(lo), v.sql_cmp(hi)) {
-                (Some(l), Some(h)) => Value::Int(
-                    (l != std::cmp::Ordering::Less && h != std::cmp::Ordering::Greater) as i64,
-                ),
-                _ => Value::Null,
-            }
-        }
-        Expr::InList(a, list) => {
-            let v = eval_row(a, row)?;
-            Value::Int((!v.is_null() && list.contains(&v)) as i64)
-        }
-        Expr::Like(a, pat) => match eval_row(a, row)? {
-            Value::Str(s) => Value::Int(pat.matches(&s) as i64),
-            _ => Value::Int(0),
-        },
-        Expr::IsNull(a, negated) => Value::Int((eval_row(a, row)?.is_null() != *negated) as i64),
-        Expr::Year(a) => match eval_row(a, row)? {
-            Value::Null => Value::Null,
-            v => {
-                let days = v
-                    .as_int()
-                    .ok_or_else(|| Error::Execution("YEAR() of non-date".into()))?;
-                Value::Int(
-                    imci_common::value::format_date(days)[..4]
-                        .parse::<i64>()
-                        .unwrap_or(0),
-                )
-            }
-        },
+/// Rows per batch. The row engine evaluates in morsel-sized batches so
+/// that its working memory stays the rows it already holds.
+const BATCH: usize = 1024;
+
+/// `rows` as batches of at most [`BATCH`] rows, `width` columns wide.
+fn batches(rows: &[Vec<Value>], width: usize) -> impl Iterator<Item = Result<Batch>> + '_ {
+    rows.chunks(BATCH).map(move |rows| {
+        let len = rows.len();
+        let cols = (0..width)
+            .map(|c| Batch::column_of(rows.iter().map(|r| &r[c])))
+            .collect::<Result<_>>()?;
+        Ok(Batch { cols, len })
     })
 }
 
-fn truthy(v: &Value) -> bool {
-    matches!(v, Value::Int(x) if *x != 0)
+/// The rows where `filter` is true (WHERE semantics).
+fn retain(mut rows: Vec<Vec<Value>>, width: usize, f: Option<&Expr>) -> Result<Vec<Vec<Value>>> {
+    if let Some(f) = f {
+        let mut mask = Vec::with_capacity(rows.len());
+        for b in batches(&rows, width) {
+            mask.extend(f.eval_mask(&b?)?);
+        }
+        let mut mask = mask.into_iter();
+        rows.retain(|_| mask.next() == Some(true));
+    }
+    Ok(rows)
+}
+
+/// `exprs` over each row.
+fn project(exprs: &[Expr], rows: &[Vec<Value>], width: usize) -> Result<Vec<Vec<Value>>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for b in batches(rows, width) {
+        let b = b?;
+        let cols = exprs
+            .iter()
+            .map(|e| e.eval(&b))
+            .collect::<Result<Vec<_>>>()?;
+        out.extend((0..b.len).map(|r| cols.iter().map(|c| c.get(r)).collect()));
+    }
+    Ok(out)
 }
 
 fn fetch_table_rows(
@@ -139,41 +96,23 @@ fn fetch_table_rows(
 /// Execute a bound query on the row engine; returns projected rows.
 pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>> {
     // ---- joins: index nested loop in the bound order ----
-    let mut offsets = Vec::with_capacity(q.tables.len());
-    let mut off = 0;
-    for bt in &q.tables {
-        offsets.push(off);
-        off += bt.needed.len();
-    }
-    let filter_local = |bt: &BoundTable, flat_off: usize, row: &[Value]| -> Result<bool> {
-        match &bt.filter {
-            None => Ok(true),
-            Some(f) => {
-                let local = f.remap(&|c| c - flat_off);
-                Ok(truthy(&eval_row(&local, row)?))
-            }
-        }
-    };
-
+    // A table's local filter, remapped onto its own fetched columns.
+    let local =
+        |bt: &BoundTable, flat_off: usize| bt.filter.as_ref().map(|f| f.remap(&|c| c - flat_off));
     let first = &q.tables[0];
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    for r in fetch_table_rows(engine, first, &first.access)? {
-        if filter_local(first, 0, &r)? {
-            rows.push(r);
-        }
-    }
+    let fetched = fetch_table_rows(engine, first, &first.access)?;
+    let mut rows = retain(fetched, first.needed.len(), local(first, 0).as_ref())?;
+    let mut width = first.needed.len();
 
     for (ji, bt) in q.tables.iter().enumerate().skip(1) {
         let conds = &q.join_conds[ji];
-        let flat_off = offsets[ji];
+        let (flat_off, filter) = (width, local(bt, width));
         let mut next: Vec<Vec<Value>> = Vec::new();
         // The probe the cost model charged for this table.
         let probe = join_probe(&q.tables, conds, ji);
         for outer_row in rows {
             let candidates: Vec<Vec<Value>> = match (probe, &bt.access) {
-                (_, AccessPath::PkLookup(pk)) => {
-                    fetch_table_rows(engine, bt, &AccessPath::PkLookup(*pk))?
-                }
+                (_, a @ AccessPath::PkLookup(_)) | (None, a) => fetch_table_rows(engine, bt, a)?,
                 (Some(JoinProbe::Pk { outer }), _) => match outer_row[outer].as_int() {
                     Some(pk) => fetch_table_rows(engine, bt, &AccessPath::PkLookup(pk))?,
                     None => Vec::new(),
@@ -190,77 +129,64 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
                         },
                     )?
                 }
-                (None, access) => fetch_table_rows(engine, bt, access)?,
             };
-            for inner in candidates {
-                // check all join conds + local filter
-                let ok = conds.iter().all(|(outer, inner_flat)| {
-                    let local = inner_flat - flat_off;
-                    outer_row[*outer].sql_cmp(&inner[local]) == Some(std::cmp::Ordering::Equal)
-                });
-                if !ok || !filter_local(bt, flat_off, &inner)? {
-                    continue;
-                }
+            let joined = candidates.into_iter().filter(|inner| {
+                let eq = |&(o, i): &(usize, usize)| outer_row[o].sql_cmp(&inner[i - flat_off]);
+                conds
+                    .iter()
+                    .all(|c| eq(c) == Some(std::cmp::Ordering::Equal))
+            });
+            for inner in retain(joined.collect(), bt.needed.len(), filter.as_ref())? {
                 let mut combined = outer_row.clone();
-                combined.extend(inner.iter().cloned());
+                combined.extend(inner);
                 next.push(combined);
             }
         }
         rows = next;
+        width += bt.needed.len();
     }
 
     // ---- residual filter ----
-    if let Some(res) = &q.residual {
-        rows.retain(|r| matches!(eval_row(res, r), Ok(v) if truthy(&v)));
-    }
+    let rows = retain(rows, width, q.residual.as_ref())?;
 
     // ---- aggregation ----
     let mut out_rows: Vec<Vec<Value>> = if !q.aggs.is_empty() || !q.group_by.is_empty() {
+        // Group keys, then one argument per aggregate (COUNT(*) reads a
+        // placeholder it ignores).
+        let star = Expr::Lit(Value::Null);
+        let args = q.aggs.iter().map(|a| a.arg.as_ref().unwrap_or(&star));
+        let exprs: Vec<Expr> = q.group_by.iter().chain(args).cloned().collect();
+        let nk = q.group_by.len();
         let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<Acc>> =
             std::collections::BTreeMap::new();
-        for r in &rows {
-            let key: Vec<Value> = q
-                .group_by
+        for b in batches(&rows, width) {
+            let b = b?;
+            let cols = exprs
                 .iter()
-                .map(|g| eval_row(g, r))
-                .collect::<Result<_>>()?;
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| q.aggs.iter().map(Acc::new).collect());
-            for (acc, call) in accs.iter_mut().zip(&q.aggs) {
-                let arg = match &call.arg {
-                    Some(a) => Some(eval_row(a, r)?),
-                    None => None,
-                };
-                acc.update(arg.as_ref());
+                .map(|e| e.eval(&b))
+                .collect::<Result<Vec<_>>>()?;
+            for r in 0..b.len {
+                let accs = groups
+                    .entry(cols[..nk].iter().map(|c| c.get(r)).collect())
+                    .or_insert_with(|| q.aggs.iter().map(Acc::new).collect());
+                for (acc, c) in accs.iter_mut().zip(&cols[nk..]) {
+                    acc.update(Some(&c.get(r)));
+                }
             }
         }
         if groups.is_empty() && q.group_by.is_empty() {
             groups.insert(Vec::new(), q.aggs.iter().map(Acc::new).collect());
         }
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, accs) in groups {
-            let mut agg_row = key;
+        let mut agg_rows = Vec::with_capacity(groups.len());
+        for (mut key, accs) in groups {
             for acc in accs {
-                agg_row.push(acc.finish()?);
+                key.push(acc.finish()?);
             }
-            let projected: Vec<Value> = q
-                .output
-                .iter()
-                .map(|e| eval_row(e, &agg_row))
-                .collect::<Result<_>>()?;
-            out.push(projected);
+            agg_rows.push(key);
         }
-        out
+        project(&q.output, &agg_rows, nk + q.aggs.len())?
     } else {
-        rows.iter()
-            .map(|r| {
-                q.output
-                    .iter()
-                    .map(|e| eval_row(e, r))
-                    .collect::<Result<Vec<Value>>>()
-            })
-            .collect::<Result<_>>()?
+        project(&q.output, &rows, width)?
     };
 
     // ---- order / limit ----
@@ -279,39 +205,4 @@ pub fn execute_row(q: &BoundQuery, engine: &RowEngine) -> Result<Vec<Vec<Value>>
         out_rows.truncate(n);
     }
     Ok(out_rows)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use imci_executor::CmpOp;
-
-    #[test]
-    fn eval_row_basics() {
-        let row = vec![Value::Int(5), Value::Str("abc".into()), Value::Null];
-        let e = Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::lit(3i64));
-        assert_eq!(eval_row(&e, &row).unwrap(), Value::Int(1));
-        let e = Expr::Like(
-            Box::new(Expr::col(1)),
-            imci_executor::LikePattern::parse("ab%").unwrap(),
-        );
-        assert_eq!(eval_row(&e, &row).unwrap(), Value::Int(1));
-        let e = Expr::IsNull(Box::new(Expr::col(2)), false);
-        assert_eq!(eval_row(&e, &row).unwrap(), Value::Int(1));
-        let e = Expr::Arith(ArithOp::Add, Box::new(Expr::col(0)), Box::new(Expr::col(2)));
-        assert_eq!(eval_row(&e, &row).unwrap(), Value::Null);
-        // Integers stay integers, except under division.
-        let e = Expr::Arith(
-            ArithOp::Mul,
-            Box::new(Expr::col(0)),
-            Box::new(Expr::lit(3i64)),
-        );
-        assert_eq!(eval_row(&e, &row).unwrap(), Value::Int(15));
-        let e = Expr::Arith(
-            ArithOp::Div,
-            Box::new(Expr::col(0)),
-            Box::new(Expr::lit(2i64)),
-        );
-        assert_eq!(eval_row(&e, &row).unwrap(), Value::Double(2.5));
-    }
 }

@@ -147,6 +147,9 @@ fn scale_out_preserves_query_results() {
     }
     let report = c.scale_out().unwrap();
     assert!(report.from_checkpoint);
+    // `scale_out` waits only for the new RO; the older one must also
+    // have applied rows 400..500 before an Eventual read counts them.
+    assert!(c.wait_sync(Duration::from_secs(30)));
     // Route enough queries that both nodes serve some.
     for _ in 0..8 {
         let res = c.execute("SELECT COUNT(*) FROM s").unwrap();
